@@ -8,13 +8,13 @@ holds fewer provisioned gpu-seconds, and lands a strictly lower $/Mtoken.
 That delta is the perf-per-TCO argument of Section 3, produced by the
 simulator instead of assumed.
 
-Each run writes ``benchmarks/BENCH_autoscale.json`` — the artifact CI
-uploads alongside the sweep and network trajectories.
+A recorded run (``REPRO_BENCH_RECORD=1``) writes
+``benchmarks/BENCH_autoscale.json`` — the artifact CI uploads alongside the
+sweep and network trajectories.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.analysis.report import simulation_table
@@ -25,7 +25,7 @@ from repro.hardware.gpu import H100
 from repro.workloads.models import LLAMA3_8B
 from repro.workloads.traces import TraceConfig, generate_piecewise_trace
 
-from conftest import emit
+from conftest import emit, record_artifact
 
 ARTIFACT = Path(__file__).parent / "BENCH_autoscale.json"
 
@@ -105,7 +105,7 @@ def test_autoscale_serving(benchmark):
         for name, r in reports.items()
     }
     payload["elastic_saving"] = 1.0 - reactive.usd_per_mtoken / static.usd_per_mtoken
-    ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    record_artifact(ARTIFACT, None, payload)
 
     # Everyone serves the full trace...
     for name, report in reports.items():

@@ -25,7 +25,6 @@ numbers archived in ``BENCH_chaos.json`` reproduce bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import os
 import tracemalloc
 from pathlib import Path
@@ -38,20 +37,9 @@ from repro.cluster.chaos import (
 )
 from repro.cluster.resilience import goodput_dip
 
-from conftest import emit
+from conftest import emit, record_artifact
 
 ARTIFACT = Path(__file__).parent / "BENCH_chaos.json"
-
-
-def _record_artifact(section: str, payload: dict) -> None:
-    record = {}
-    if ARTIFACT.exists():
-        try:
-            record = json.loads(ARTIFACT.read_text())
-        except (OSError, ValueError):
-            record = {}
-    record[section] = payload
-    ARTIFACT.write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
 def _rows(reports) -> str:
@@ -79,7 +67,8 @@ def test_blast_radius_lite_vs_big(benchmark):
         _rows(reports)
         + f"\ngoodput dip: big {big:.1%}, lite {lite:.1%}",
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "blast_radius",
         {
             "big_dip": big,
@@ -116,7 +105,8 @@ def test_checkpointed_restarts_beat_prefill_restart(benchmark):
         + f"\ngoodput {plain.goodput_tokens:,} -> {ckpt.goodput_tokens:,} "
         f"tokens, MTTR {plain.mttr_s:.2f}s -> {ckpt.mttr_s:.2f}s",
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "checkpoint",
         {
             name: {
@@ -150,7 +140,8 @@ def test_retry_storm_metastable_overload(benchmark):
         "Chaos: retry storm, naive fixed backoff vs capped exp+jitter",
         _rows(reports),
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "retry_storm",
         {
             name: {
@@ -195,7 +186,8 @@ def test_retry_heap_stays_bounded(benchmark):
         f"peak traced memory {peak / 1e6:.1f} MB (cap {cap_mb:g} MB), "
         f"{report.retries} retries, {report.abandoned} abandoned",
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "retry_memory",
         {
             "peak_bytes": peak,

@@ -7,12 +7,12 @@ group inside one mesh group) once the network model prices the placed
 collectives.  And with ``network_model="none"`` the co-simulation layer is
 invisible — reports replay the no-topology baseline bit-for-bit.
 
-Each run writes ``benchmarks/BENCH_network.json`` — the artifact CI uploads.
+A recorded run (``REPRO_BENCH_RECORD=1``) writes
+``benchmarks/BENCH_network.json`` — the artifact CI uploads.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.analysis.tables import format_table
@@ -24,7 +24,7 @@ from repro.network.topology import DirectConnectTopology
 from repro.workloads.models import LLAMA3_70B
 from repro.workloads.traces import TraceConfig, generate_trace
 
-from conftest import emit
+from conftest import emit, record_artifact
 
 ARTIFACT = Path(__file__).parent / "BENCH_network.json"
 
@@ -99,7 +99,7 @@ def test_network_serving(benchmark):
         ),
     )
     payload["scattered_tbt_penalty"] = scattered.tbt_mean / packed.tbt_mean
-    ARTIFACT.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    record_artifact(ARTIFACT, None, payload)
 
     # network_model="none" is invisible: bit-identical to the no-topology run.
     assert none == baseline

@@ -15,13 +15,12 @@ Three claims, each measured against the event engine it screens for:
    :func:`repro.analysis.screening.screen_then_simulate` recovers the
    full event sweep's argbest while event-simulating <= 25% of the points.
 
-Each run appends its numbers to ``benchmarks/BENCH_fluid.json`` — the
-trajectory artifact CI uploads.
+A recorded run (``REPRO_BENCH_RECORD=1``) merges its numbers into
+``benchmarks/BENCH_fluid.json`` — the trajectory artifact CI uploads.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -34,25 +33,13 @@ from repro.hardware.gpu import H100, LITE_MEMBW, LITE_NETBW_FLOPS
 from repro.workloads.models import LLAMA3_8B, LLAMA3_70B
 from repro.workloads.traces import TraceConfig, generate_trace
 
-from conftest import emit
+from conftest import emit, record_artifact
 
 ARTIFACT = Path(__file__).parent / "BENCH_fluid.json"
 
 GOLDEN_TRACE = generate_trace(
     TraceConfig(rate=6.0, duration=40.0, output_tokens=150, output_spread=0.5), seed=13
 )
-
-
-def _record_artifact(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the BENCH_fluid.json trajectory."""
-    record = {}
-    if ARTIFACT.exists():
-        try:
-            record = json.loads(ARTIFACT.read_text())
-        except (OSError, ValueError):
-            record = {}
-    record[section] = payload
-    ARTIFACT.write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
 def _h100_deployment() -> PhasePools:
@@ -152,7 +139,7 @@ def test_fluid_accuracy_on_goldens(benchmark):
                 failures.append(f"{name}.{metric}: rel {rel:.3f} > bound {bound}")
         artifact[name] = {"completed": event.completed, "metrics": metrics}
     emit("Fluid accuracy vs event truth on the golden configs", "\n".join(lines))
-    _record_artifact("accuracy", artifact)
+    record_artifact(ARTIFACT, "accuracy", artifact)
     assert not failures, "; ".join(failures)
 
 
@@ -203,7 +190,8 @@ def test_fluid_point_speedup(benchmark):
         f"fluid:  {t_fluid * 1e3:8.1f} ms wall (analytic ODE, best of 5)\n"
         f"speedup: {speedup:.0f}x (floor {floor:.0f}x)",
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "point_speedup",
         {
             "requests": len(HOTPATH_TRACE),
@@ -292,7 +280,8 @@ def test_two_tier_screening_recovers_argbest(benchmark):
         f"event simulations: {len(result.promoted)}/{result.n_points} "
         f"({fraction:.0%}); wall {t_screen:.1f}s vs full sweep {t_full:.1f}s",
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "two_tier_screening",
         {
             "grid_points": result.n_points,

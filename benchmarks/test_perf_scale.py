@@ -24,7 +24,6 @@ default scale records a separate section and leaves the 1M evidence alone.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import tracemalloc
@@ -36,7 +35,7 @@ from repro.hardware.gpu import H100
 from repro.workloads.models import LLAMA3_8B
 from repro.workloads.traces import TraceConfig, iter_trace
 
-from conftest import emit
+from conftest import emit, record_artifact
 
 ARTIFACT = Path(__file__).parent / "BENCH_scale.json"
 
@@ -72,17 +71,6 @@ def _sim_config(metrics: str) -> SimConfig:
 
 def _lazy_trace():
     return iter_trace(_trace_config(), seed=0, window=WINDOW)
-
-
-def _record_artifact(section: str, payload: dict) -> None:
-    record = {}
-    if ARTIFACT.exists():
-        try:
-            record = json.loads(ARTIFACT.read_text())
-        except (OSError, ValueError):
-            record = {}
-    record[section] = payload
-    ARTIFACT.write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
 def _rel(a: float, b: float) -> float:
@@ -130,7 +118,8 @@ def test_streaming_scale(benchmark):
         f"exact {peak_exact / 1e6:.1f} MB ({ratio:.1f}x, floor {ratio_floor:g}x)\n"
         f"TTFT error: p50 {ttft_p50_err:.3%}, p99 {ttft_p99_err:.3%} (bar 1%)",
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "scale_1m" if N_REQUESTS >= 1_000_000 else "scale_default",
         {
             "requests": stream.completed,

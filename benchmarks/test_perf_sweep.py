@@ -17,13 +17,12 @@ bit-identical:
    and numpy round-trips).  Single process, same machine: >= 1.3x locally,
    with a relaxed CI floor against shared-runner noise.
 
-Each run appends its numbers to ``benchmarks/BENCH_sweep.json`` — the
-trajectory artifact CI uploads.
+A recorded run (``REPRO_BENCH_RECORD=1``) merges its numbers into
+``benchmarks/BENCH_sweep.json`` — the trajectory artifact CI uploads.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -35,7 +34,7 @@ from repro.hardware.gpu import H100
 from repro.workloads.models import LLAMA3_8B
 from repro.workloads.traces import TraceConfig, generate_trace
 
-from conftest import emit
+from conftest import emit, record_artifact
 
 ARTIFACT = Path(__file__).parent / "BENCH_sweep.json"
 
@@ -50,19 +49,6 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-linux
         return os.cpu_count() or 1
-
-
-def _record_artifact(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the BENCH_sweep.json trajectory."""
-    record = {}
-    if ARTIFACT.exists():
-        try:
-            record = json.loads(ARTIFACT.read_text())
-        except (OSError, ValueError):
-            record = {}
-    record[section] = payload
-    record["cores"] = _available_cores()
-    ARTIFACT.write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
 def _bench_point(rate: float, seed: int):
@@ -121,7 +107,8 @@ def test_parallel_sweep_speedup(benchmark):
         f"speedup:  {speedup:.2f}x on {cores} core(s)"
         + ("" if floor else " — serial fallback, only bit-identity is asserted"),
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "parallel_sweep",
         {
             "points": len(serial),
@@ -134,6 +121,7 @@ def test_parallel_sweep_speedup(benchmark):
             "floor": floor,
         },
     )
+    record_artifact(ARTIFACT, "cores", _available_cores())
     # Determinism is asserted unconditionally: fan-out must be bit-exact.
     assert all(o.ok for o in serial) and all(o.ok for o in parallel)
     assert [o.value for o in serial] == [o.value for o in parallel]
@@ -187,7 +175,8 @@ def test_engine_hot_path_speedup(benchmark):
         f"fast:   {t_fast:.2f}s wall (incremental integer counters)\n"
         f"speedup: {speedup:.2f}x",
     )
-    _record_artifact(
+    record_artifact(
+        ARTIFACT,
         "engine_hot_paths",
         {
             "requests": len(HOTPATH_TRACE),
@@ -196,6 +185,7 @@ def test_engine_hot_path_speedup(benchmark):
             "speedup": speedup,
         },
     )
+    record_artifact(ARTIFACT, "cores", _available_cores())
     # The counters are integer sums of exactly the scanned terms: reports
     # must match float-for-float, not approximately.
     assert report_legacy == report_fast

@@ -60,7 +60,7 @@ from .cluster.policies import POLICY_BUNDLES, ROUTING_POLICIES
 from .cluster.resilience import goodput_dip
 from .cluster.power_manager import ClusterPowerManager
 from .cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
-from .cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
+from .cluster.simulator import ServingSimulator, SimConfig, simulator_for
 from .cluster.spec import ClusterSpec
 from .analysis.screening import screen_then_simulate
 from .analysis.sweeps import argbest
@@ -222,9 +222,44 @@ def _cmd_topology(args: argparse.Namespace) -> None:
     )
 
 
+def _deployment(
+    shape: str,
+    model_name: str,
+    prefill_gpu: str,
+    decode_gpu: str,
+    gpu: str,
+    gpus_per_instance: int,
+    n_prefill: int,
+    size: int,
+    max_prefill_batch: int,
+    max_decode_batch: int,
+    chunk_tokens: int,
+):
+    """The deployment a simulate/sweep point describes.
+
+    ``size`` is the decode-pool size of a phase-split deployment and the
+    instance count of a colocated one; the other shape's knobs are ignored.
+    """
+    model = get_model(model_name)
+    if shape == "phase-split":
+        return PhasePools(
+            prefill=InstanceSpec(model, get_gpu(prefill_gpu), gpus_per_instance),
+            n_prefill=n_prefill,
+            decode=InstanceSpec(model, get_gpu(decode_gpu), gpus_per_instance),
+            n_decode=size,
+            max_prefill_batch=max_prefill_batch,
+            max_decode_batch=max_decode_batch,
+        )
+    return ColocatedPool(
+        instance=InstanceSpec(model, get_gpu(gpu), gpus_per_instance),
+        n_instances=size,
+        max_decode_batch=max_decode_batch,
+        chunk_tokens=chunk_tokens,
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
     _check_topology_flags(args)
-    model = get_model(args.model)
     trace = generate_trace(
         TraceConfig(
             rate=args.rate,
@@ -245,24 +280,12 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     failure_model = None
     if args.mtbf_hours > 0:
         failure_model = FailureModel(mtbf=args.mtbf_hours * HOUR, mttr=args.mttr_hours * HOUR)
-    if args.shape == "phase-split":
-        deployment = PhasePools(
-            prefill=InstanceSpec(model, get_gpu(args.prefill_gpu), args.gpus_per_instance),
-            n_prefill=args.n_prefill,
-            decode=InstanceSpec(model, get_gpu(args.decode_gpu), args.gpus_per_instance),
-            n_decode=args.n_decode,
-            max_prefill_batch=args.max_prefill_batch,
-            max_decode_batch=args.max_decode_batch,
-        )
-        simulator_cls = ServingSimulator
-    else:
-        deployment = ColocatedPool(
-            instance=InstanceSpec(model, get_gpu(args.gpu), args.gpus_per_instance),
-            n_instances=args.n_instances,
-            max_decode_batch=args.max_decode_batch,
-            chunk_tokens=args.chunk_tokens,
-        )
-        simulator_cls = ColocatedSimulator
+    deployment = _deployment(
+        args.shape, args.model, args.prefill_gpu, args.decode_gpu, args.gpu,
+        args.gpus_per_instance, args.n_prefill,
+        args.n_decode if args.shape == "phase-split" else args.n_instances,
+        args.max_prefill_batch, args.max_decode_batch, args.chunk_tokens,
+    )
     description = deployment.describe()
     if args.shards > 1:
         # Sharded execution factors the run into independent sub-engines —
@@ -286,7 +309,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         topology = _build_topology(
             args.topology, args.cluster_gpus or deployment.total_gpus, args.group
         )
-        simulator = simulator_cls(
+        simulator = simulator_for(deployment)(
             deployment, config,
             policies=args.policy, failure_model=failure_model, failure_seed=args.failure_seed,
             topology=topology, placer=args.placer, network_model=args.network_model,
@@ -348,31 +371,16 @@ def _sweep_point(
     non-network runs and fluid screens never alias event truth.
     """
     trace = generate_trace(trace_config, seed=trace_seed)
-    model = get_model(model_name)
     config = SimConfig(
         max_sim_time=max_sim_time, context_bucket=context_bucket, metrics=metrics,
         backend=backend,
     )
-    if shape == "phase-split":
-        deployment = PhasePools(
-            prefill=InstanceSpec(model, get_gpu(prefill_gpu), gpus_per_instance),
-            n_prefill=n_prefill,
-            decode=InstanceSpec(model, get_gpu(decode_gpu), gpus_per_instance),
-            n_decode=size,
-            max_prefill_batch=max_prefill_batch,
-            max_decode_batch=max_decode_batch,
-        )
-        simulator_cls = ServingSimulator
-    else:
-        deployment = ColocatedPool(
-            instance=InstanceSpec(model, get_gpu(gpu), gpus_per_instance),
-            n_instances=size,
-            max_decode_batch=max_decode_batch,
-            chunk_tokens=chunk_tokens,
-        )
-        simulator_cls = ColocatedSimulator
+    deployment = _deployment(
+        shape, model_name, prefill_gpu, decode_gpu, gpu, gpus_per_instance, n_prefill,
+        size, max_prefill_batch, max_decode_batch, chunk_tokens,
+    )
     topology = _build_topology(topology_kind, cluster_gpus or deployment.total_gpus, group)
-    simulator = simulator_cls(
+    simulator = simulator_for(deployment)(
         deployment, config, policies=policy,
         topology=topology, placer=placer, network_model=network_model,
     )

@@ -439,6 +439,9 @@ class PrefillState:
     retired_at: float = math.inf
     energy_busy: float = 0.0
 
+    def has_work(self) -> bool:
+        return self.busy
+
 
 @dataclass
 class DecodeState:
@@ -484,6 +487,26 @@ class DecodeState:
         """Recount by scanning (the seed's per-event path; benchmark baseline)."""
         return sum(s.request.total_tokens for s in self.active)
 
+    def has_work(self) -> bool:
+        return bool(self.active)
+
+    def evict(self) -> Tuple[List[Tuple[Request, int]], List[Request]]:
+        """Drop all resident work: a failure wiped the instance's KV state.
+
+        Returns ``(lost, backlog)``: ``(request, generated tokens)`` for every
+        sequence whose KV state (or partial prefill) is lost, and the
+        admitted requests that had not started, which lose nothing.
+        """
+        lost = [(seq.request, seq.generated) for seq in self.active]
+        self.running = False
+        self.active.clear()
+        self.due.clear()
+        self.iter_log.clear()
+        self.log_base = self.iter_count
+        self.occupied = 0
+        self.context_sum = 0
+        return lost, []
+
 
 @dataclass
 class PartialPrefill:
@@ -494,49 +517,26 @@ class PartialPrefill:
 
 
 @dataclass
-class ColocatedState:
+class ColocatedState(DecodeState):
     """One colocated instance: decode batch + in-progress chunked prefill.
 
     ``occupied`` covers every committed sequence (decoding, chunking, or
     waiting to chunk); ``context_sum`` covers only the decoding batch.
-    Both are engine-maintained integer counters equal to the scans the
-    seed ran per event.  ``iter_log``/``log_base``/``iter_count``/``due``
-    are the fast engine's shared-iteration structures (see
-    :class:`DecodeState`); chunk-only iterations (empty decode batch) are
-    logged too, so a joining sequence's ``start_iter`` always indexes the
-    log consistently.
+    The shared-iteration structures are those of :class:`DecodeState`;
+    chunk-only iterations (empty decode batch) are logged too, so a joining
+    sequence's ``start_iter`` always indexes the log consistently.
     """
 
-    active: List[ActiveSequence] = field(default_factory=list)
     backlog: Deque[PartialPrefill] = field(default_factory=deque)
     current: Optional[PartialPrefill] = None
-    busy_until: float = 0.0
-    running: bool = False
-    down_until: float = 0.0
-    busy_time: float = 0.0
-    occupied: int = 0
-    context_sum: int = 0
-    spawned_at: float = 0.0
-    up_from: float = 0.0
-    draining: bool = False
-    retired: bool = False
-    retired_at: float = math.inf
-    energy_busy: float = 0.0
-    iter_log: List[float] = field(default_factory=list)
-    log_base: int = 0
-    iter_count: int = 0
-    due: Dict[int, List[ActiveSequence]] = field(default_factory=dict)
 
     def committed(self) -> int:
         """Sequences holding a slot (decoding, chunking, or waiting to chunk)."""
         return len(self.active) + len(self.backlog) + (1 if self.current else 0)
 
-    def occupied_tokens(self) -> int:
-        return self.occupied
-
     def scan_occupied_tokens(self) -> int:
         """Recount by scanning (the seed's per-event path; benchmark baseline)."""
-        tokens = sum(s.request.total_tokens for s in self.active)
+        tokens = super().scan_occupied_tokens()
         tokens += sum(p.request.total_tokens for p in self.backlog)
         if self.current is not None:
             tokens += self.current.request.total_tokens
@@ -544,6 +544,16 @@ class ColocatedState:
 
     def has_work(self) -> bool:
         return bool(self.active or self.backlog or self.current)
+
+    def evict(self) -> Tuple[List[Tuple[Request, int]], List[Request]]:
+        # A partially chunked prompt has generated nothing: it restarts as-is.
+        lost, _ = super().evict()
+        if self.current is not None:
+            lost.append((self.current.request, 0))
+        backlog = [partial.request for partial in self.backlog]
+        self.backlog.clear()
+        self.current = None
+        return lost, backlog
 
 
 @dataclass(frozen=True)
@@ -566,13 +576,6 @@ def _register_due(inst, seq: ActiveSequence) -> None:
     """Schedule ``seq``'s completion at its exact future iteration count."""
     seq.start_iter = inst.iter_count
     inst.due.setdefault(inst.iter_count + seq.request.output_tokens, []).append(seq)
-
-
-def _clear_iter_log(inst) -> None:
-    """Forget the instance's shared-iteration state (failure wiped it)."""
-    inst.due.clear()
-    inst.iter_log.clear()
-    inst.log_base = inst.iter_count
 
 
 def _prune_iter_log(inst) -> None:
@@ -600,7 +603,17 @@ def _tail_mean(inst, seq: ActiveSequence) -> float:
 
 
 class _EngineBase:
-    """Shared event loop: subclasses provide a ``handlers`` mapping.
+    """Shared event core over a deployment's pool table.
+
+    The deployment's :meth:`pool_table` names its pools; the first pool is
+    the front door (arrivals, retries and failure victims queue there) and
+    exactly one pool holds KV state.  The base owns one state list and one
+    queue per pool (``pool_states``/``queues``) and everything that reads
+    them generically: arrivals, failures (a KV-pool failure evicts and
+    requeues its residents), recovery, the KV pool's admit event, sequence
+    completion, and the control plane.  Subclasses add the shape's own
+    dispatch and per-iteration handlers: ``_admit_kv`` offers queued work
+    to the KV pool, ``_dispatch_prefill`` to a pool without KV state.
 
     The loop owns the **control plane**: when a
     :class:`~repro.cluster.control.ClusterController` with a positive
@@ -612,12 +625,21 @@ class _EngineBase:
     event stream bit-identical to the pre-control-plane engine.
     """
 
+    #: Instance-state class of each pool, by pool name.
+    _STATES: Dict[str, type] = {}
+    #: Event kind of one KV-pool iteration.
+    _ITER_KIND = ""
+
     def __init__(
         self,
+        deployment,
         config,
-        controller: Optional[ClusterController] = None,
-        power_curve: Optional[DVFSCurve] = None,
-        spawn_limits: Optional[Dict[str, int]] = None,
+        policies: PolicyBundle,
+        providers: Sequence[AbstractServiceTimeProvider],
+        failures: Sequence[Tuple[float, str, int, float]],
+        controller: Optional[ClusterController],
+        power_curve: Optional[DVFSCurve],
+        spawn_limits: Optional[Dict[str, int]],
     ) -> None:
         self.config = config
         # fast_engine=True (the default) reads the incrementally maintained
@@ -683,6 +705,32 @@ class _EngineBase:
         self.retired = 0
         self._window_ttfts: List[float] = []
         self._window_tbts: List[float] = []
+        self.policies = policies
+        self.providers = tuple(providers)
+        self.failures = sorted(failures)
+        self.pool_table = deployment.pool_table()
+        (kv_row,) = [row for row in self.pool_table if row.holds_kv]
+        self.kv_pool = kv_row.name
+        self.kv_capacity = require_kv_headroom(kv_row.spec, kv_row.name)
+        self.pool_states = {
+            row.name: [self._STATES[row.name]() for _ in range(row.n_instances)]
+            for row in self.pool_table
+        }
+        self.queues: Dict[str, Deque[Request]] = {row.name: deque() for row in self.pool_table}
+        self.front = self.pool_table[0].name
+        self.front_queue = self.queues[self.front]
+        self.kv_states = self.pool_states[self.kv_pool]
+
+    def handlers(self):
+        """Event kind -> handler; subclasses add their per-iteration kinds."""
+        return {
+            "arrival": self._on_arrival,
+            "retry": self._on_retry,
+            "failure": self._on_failure,
+            "recovered": self._on_recovered,
+            "controller": self._on_controller_event,
+            "spawn_ready": self._on_spawn_ready,
+        }
 
     def _record_ttft(self, request: Request, time: float) -> None:
         # Keep the first-token-ever time: a failure-requeued request's second
@@ -739,6 +787,42 @@ class _EngineBase:
             )
         )
 
+    def _complete_due(self, inst, done: List[ActiveSequence], finish: float) -> None:
+        """Complete the sequences due at this iteration (fast engine).
+
+        Runs only on ticks that complete something.  Completion order equals
+        admit order within the due bucket, which is the order the legacy
+        scan completes them in.
+        """
+        for seq in done:
+            self._complete(seq, finish, _tail_mean(inst, seq))
+            inst.occupied -= seq.request.total_tokens
+            inst.context_sum -= seq.context_len
+        if len(done) == len(inst.active):
+            inst.active.clear()
+        else:
+            done_ids = set(map(id, done))
+            inst.active = [s for s in inst.active if id(s) not in done_ids]
+        _prune_iter_log(inst)
+
+    def _complete_scanned(self, inst, finish: float) -> None:
+        """Complete every finished sequence by scanning the batch (legacy engine)."""
+        still_active: List[ActiveSequence] = []
+        for seq in inst.active:
+            if seq.done:
+                self._complete(seq, finish, float(np.mean(seq.iteration_times)))
+                inst.occupied -= seq.request.total_tokens
+                inst.context_sum -= seq.context_len
+            else:
+                still_active.append(seq)
+        inst.active = still_active
+
+    # --- requests ----------------------------------------------------------
+
+    def _on_arrival(self, now: float, payload: tuple) -> None:
+        (request,) = payload
+        self._accept_request(request, now)
+
     def _on_retry(self, now: float, payload: tuple) -> None:
         """A client backoff elapsed: the request re-enters the front door.
 
@@ -750,8 +834,100 @@ class _EngineBase:
         self.resilience.on_retry_fired()
         self._accept_request(request, now)
 
-    def _accept_request(self, request: Request, now: float) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def _accept_request(self, request: Request, now: float) -> None:
+        if self.resilience is not None:
+            request = self.resilience.admit(request, now, len(self.front_queue))
+            if request is None:
+                return
+        self.front_queue.append(request)
+        self._dispatch_pool(self.front, now)
+
+    def _dispatch_pool(self, pool: str, now: float) -> None:
+        """Offer a pool's queued work to its available instances."""
+        if pool == self.kv_pool:
+            self._admit_kv(now)
+        else:
+            self._dispatch_prefill(now)
+
+    def _on_admit(self, now: float, payload: tuple) -> None:
+        """A KV-pool iteration finished: admit queued work, keep the batch going."""
+        (idx,) = payload
+        inst = self.kv_states[idx]
+        inst.running = False
+        self._admit_kv(now)
+        if not inst.has_work():
+            if inst.draining and not inst.retired:
+                self._retire_state(inst, now)
+            return
+        if not inst.running and now >= inst.down_until:
+            inst.running = True
+            self.events.push(now, self._ITER_KIND, (idx,))
+
+    # --- failures ----------------------------------------------------------
+
+    def _on_failure(self, now: float, payload: tuple) -> None:
+        pool, index, duration = payload
+        # Elastic runs validate failures against the *expanded* instance
+        # range: a fault aimed at a never-spawned or already-retired
+        # instance hits no hardware.
+        states = self._pool_states(pool)
+        if index >= len(states) or states[index].retired:
+            return
+        inst = states[index]
+        previous_down = inst.down_until
+        # max(): a short overlapping failure must not cut an outage short
+        # (scripted and sampled schedules compose, so overlap is possible).
+        inst.down_until = max(inst.down_until, now + duration)
+        # A pool without KV state loses only queued work: an in-flight
+        # batch still finishes (its completion event is already queued).
+        lost = self._evict(inst, now) if pool == self.kv_pool else []
+        if self.resilience is not None:
+            self.resilience.on_failure_hit(
+                now, duration, [r.request_id for r in lost],
+                max(0.0, inst.down_until - max(previous_down, now)),
+            )
+        if pool == self.kv_pool:
+            if inst.draining and not inst.retired:
+                # A draining instance that just lost its residents has
+                # nothing left to finish: release its GPUs now.
+                self._retire_state(inst, now)
+            # Victims must not strand: once the arrival stream has ended
+            # nothing else would wake an idle front pool to re-serve them.
+            self._dispatch_pool(self.front, now)
+        self.events.push(now + duration, "recovered", (pool, index))
+
+    def _evict(self, inst, now: float) -> List[Request]:
+        """Requeue a failed KV instance's work; return the restarting requests."""
+        candidates, backlog = inst.evict()
+        runtime = self.resilience
+        if runtime is None:
+            lost = [request for request, _ in candidates]
+        else:
+            # An expired victim (or backlog entry) is shed, not requeued —
+            # its end-to-end budget is already gone; the rest resume from
+            # their last checkpoint (restart-from-prefill when checkpointing
+            # is off or no interval completed yet).
+            lost, kept = [], []
+            for request, generated in candidates + [(r, None) for r in backlog]:
+                if runtime.expired_deadline(request, now):
+                    runtime.shed(request, now, "deadline")
+                elif generated is None:
+                    kept.append(request)
+                else:
+                    lost.append(runtime.resume_request(request, generated))
+            backlog = kept
+        for request in lost:  # KV / partial prefill lost: a real restart
+            self._record_restart(request)
+        # One order-preserving batch: real victims ahead of the backlog
+        # (admitted but never started — no work lost, no restart counted).
+        self.policies.requeue.requeue_all(lost + backlog, self.front_queue)
+        return lost
+
+    def _on_recovered(self, now: float, payload: tuple) -> None:
+        pool, _ = payload
+        self._dispatch_pool(pool, now)
+
+    # --- run loop ----------------------------------------------------------
 
     def _instance_seconds(self, duration: float) -> float:
         """Provisioned instance-seconds inside ``duration`` (availability base)."""
@@ -761,8 +937,8 @@ class _EngineBase:
             total += max(0.0, end - state.spawned_at)
         return total
 
-    def _all_states(self) -> list:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _all_states(self) -> list:
+        return [state for states in self.pool_states.values() for state in states]
 
     def _feed_arrival(self, arrival_iter: Iterator[Request]) -> None:
         request = next(arrival_iter, None)
@@ -808,17 +984,14 @@ class _EngineBase:
             handler(time, payload)
         return self
 
-    def handlers(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     # --- control plane ------------------------------------------------------
 
-    def _control_handlers(self):
-        """The event handlers every engine shares with the control plane."""
-        return {
-            "controller": self._on_controller_event,
-            "spawn_ready": self._on_spawn_ready,
-        }
+    def _pool_states(self, pool: str) -> list:
+        states = self.pool_states.get(pool)
+        if states is None:
+            have = "/".join(self.pool_states)
+            raise SimulationError(f"unknown pool '{pool}' (have {have})")
+        return states
 
     def _on_controller_event(self, now: float, payload: tuple) -> None:
         action = self.controller.step(self._observe(now))
@@ -831,6 +1004,9 @@ class _EngineBase:
         pending = any(kind != "controller" for _, _, kind, _ in self.events._heap)
         if pending or self._has_pending_work():
             self.events.push(now + self.controller.epoch, "controller", ())
+
+    def _has_pending_work(self) -> bool:
+        return any(self.queues.values()) or any(s.has_work() for s in self._all_states())
 
     def _apply_action(self, now: float, action: ControlAction) -> None:
         if action.frequency is not None and action.frequency != self.frequency:
@@ -850,22 +1026,44 @@ class _EngineBase:
             raise SimulationError("controller set a non-positive frequency scalar")
         self.frequency = float(scalar)
         self._busy_power_ratio = self.power_curve.power_ratio(self.frequency)
-        for provider in self._providers():
+        for provider in self.providers:
             provider.set_frequency(self.frequency)
 
-    def _spawn_allowed(self, pool: str, states: list) -> bool:
-        """Physical + policy bounds on adding one more instance to a pool."""
+    def _spawn(self, pool: str, now: float) -> bool:
+        states = self._pool_states(pool)
         limit = self.spawn_limits.get(pool)
         if limit is not None and len(states) >= limit:
             return False
-        provisioned = sum(1 for s in states if not s.retired)
-        return provisioned < self.controller.max_instances
+        if sum(1 for s in states if not s.retired) >= self.controller.max_instances:
+            return False
+        warm = now + max(0.0, self.controller.warmup_s)
+        states.append(self._STATES[pool](spawned_at=now, up_from=warm))
+        self.spawned += 1
+        self.events.push(warm, "spawn_ready", (pool,))
+        return True
 
-    def _drain_floor(self, states: list) -> bool:
-        """True when one more drain would leave the pool below its floor."""
-        candidates = sum(1 for s in states if not s.retired and not s.draining)
+    def _on_spawn_ready(self, now: float, payload: tuple) -> None:
+        (pool,) = payload
+        self._dispatch_pool(pool, now)
+
+    def _drain(self, pool: str, now: float) -> bool:
+        states = self._pool_states(pool)
+        candidates = [i for i, s in enumerate(states) if not s.retired and not s.draining]
         floor = max(1, self.controller.min_instances) if self.controller else 1
-        return candidates <= floor
+        if len(candidates) <= floor:
+            return False
+        if pool == self.kv_pool:
+            # Least resident KV state drains fastest; ties retire the
+            # latest-spawned instance first.
+            idx = min(candidates, key=lambda i: (states[i].occupied, -i))
+        else:
+            # Prefer idle instances; among equals, the latest-spawned.
+            idx = min(candidates, key=lambda i: (states[i].busy, -i))
+        inst = states[idx]
+        inst.draining = True
+        if not inst.has_work():
+            self._retire_state(inst, now)
+        return True
 
     def _retire_state(self, state, now: float) -> None:
         state.draining = True
@@ -873,8 +1071,28 @@ class _EngineBase:
         state.retired_at = now
         self.retired += 1
 
-    def _pool_stats(self, states: list, now: float, queue_depth: int,
-                    gpus_per_instance: int, capacity: int = 0) -> PoolStats:
+    def _observe(self, now: float) -> ControlObservation:
+        pools = {
+            row.name: self._pool_stats(
+                self.pool_states[row.name], now, len(self.queues[row.name]),
+                row.spec.n_gpus, self.kv_capacity if row.holds_kv else 0,
+            )
+            for row in self.pool_table
+        }
+        obs = ControlObservation(
+            time=now,
+            pools=pools,
+            window_ttfts=tuple(self._window_ttfts),
+            window_tbts=tuple(self._window_tbts),
+            frequency=self.frequency,
+        )
+        self._window_ttfts.clear()
+        self._window_tbts.clear()
+        return obs
+
+    @staticmethod
+    def _pool_stats(states: list, now: float, queue_depth: int,
+                    gpus_per_instance: int, capacity: int) -> PoolStats:
         alive = warming = draining = busy = 0
         occupied: List[float] = []
         for state in states:
@@ -888,7 +1106,7 @@ class _EngineBase:
                 alive += 1
                 if capacity > 0:
                     occupied.append(state.occupied / capacity)
-            if self._state_busy(state):
+            if state.has_work():
                 busy += 1
         occupancy = float(np.mean(occupied)) if occupied else 0.0
         return PoolStats(
@@ -897,44 +1115,12 @@ class _EngineBase:
             gpus_per_instance=gpus_per_instance,
         )
 
-    @staticmethod
-    def _state_busy(state) -> bool:
-        if isinstance(state, PrefillState):
-            return state.busy
-        if isinstance(state, ColocatedState):
-            return state.has_work()
-        return bool(state.active)
-
-    def _make_observation(self, now: float, pools: Dict[str, PoolStats]) -> ControlObservation:
-        obs = ControlObservation(
-            time=now,
-            pools=pools,
-            window_ttfts=tuple(self._window_ttfts),
-            window_tbts=tuple(self._window_tbts),
-            frequency=self.frequency,
-        )
-        self._window_ttfts.clear()
-        self._window_tbts.clear()
-        return obs
-
     # Subclass hooks ---------------------------------------------------------
 
-    def _observe(self, now: float) -> ControlObservation:  # pragma: no cover
+    def _admit_kv(self, time: float) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _has_pending_work(self) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def _providers(self) -> List[AbstractServiceTimeProvider]:  # pragma: no cover
-        raise NotImplementedError
-
-    def _spawn(self, pool: str, now: float) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def _drain(self, pool: str, now: float) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def _on_spawn_ready(self, now: float, payload: tuple) -> None:  # pragma: no cover
+    def _dispatch_prefill(self, time: float) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -946,6 +1132,9 @@ class PhaseSplitEngine(_EngineBase):
     ``max_prefill_batch``, greedy head-of-line decode admission within the
     KV budget, and back-of-queue requeue when a failure drops KV state.
     """
+
+    _STATES = {"prefill": PrefillState, "decode": DecodeState}
+    _ITER_KIND = "decode_iter"
 
     def __init__(
         self,
@@ -959,17 +1148,17 @@ class PhaseSplitEngine(_EngineBase):
         power_curve: Optional[DVFSCurve] = None,
         spawn_limits: Optional[Dict[str, int]] = None,
     ) -> None:
-        super().__init__(config, controller, power_curve, spawn_limits)
+        super().__init__(
+            pools, config, policies, (prefill_provider, decode_provider), failures,
+            controller, power_curve, spawn_limits,
+        )
         self.pools = pools
-        self.policies = policies
         self.prefill_provider = prefill_provider
         self.decode_provider = decode_provider
-        self.kv_capacity = require_kv_headroom(pools.decode, "decode")
-        self.failures = sorted(failures)
-        self.prefill_queue: Deque[Request] = deque()
-        self.decode_queue: Deque[Request] = deque()
-        self.prefill_states = [PrefillState() for _ in range(pools.n_prefill)]
-        self.decode_states = [DecodeState() for _ in range(pools.n_decode)]
+        self.prefill_queue = self.front_queue
+        self.decode_queue = self.queues["decode"]
+        self.prefill_states = self.pool_states["prefill"]
+        self.decode_states = self.kv_states
         # Each pool gets its own routing instance so stateful policies
         # (round-robin) rotate per pool instead of interleaving both pools
         # through one shared counter.
@@ -978,91 +1167,11 @@ class PhaseSplitEngine(_EngineBase):
 
     def handlers(self):
         return {
-            "arrival": self._on_arrival,
-            "retry": self._on_retry,
+            **super().handlers(),
             "prefill_done": self._on_prefill_done,
             "decode_iter": self._on_decode_iter,
             "decode_admit": self._on_decode_admit,
-            "failure": self._on_failure,
-            "recovered": self._on_recovered,
-            **self._control_handlers(),
         }
-
-    # --- control plane ------------------------------------------------------
-
-    def _pool_states(self, pool: str) -> list:
-        if pool == "prefill":
-            return self.prefill_states
-        if pool == "decode":
-            return self.decode_states
-        raise SimulationError(f"unknown pool '{pool}' (have prefill/decode)")
-
-    def _all_states(self) -> list:
-        return [*self.prefill_states, *self.decode_states]
-
-    def _providers(self) -> List[AbstractServiceTimeProvider]:
-        return [self.prefill_provider, self.decode_provider]
-
-    def _has_pending_work(self) -> bool:
-        return bool(
-            self.prefill_queue
-            or self.decode_queue
-            or any(s.busy for s in self.prefill_states)
-            or any(s.active for s in self.decode_states)
-        )
-
-    def _observe(self, now: float) -> ControlObservation:
-        return self._make_observation(now, {
-            "prefill": self._pool_stats(
-                self.prefill_states, now, len(self.prefill_queue),
-                self.pools.prefill.n_gpus,
-            ),
-            "decode": self._pool_stats(
-                self.decode_states, now, len(self.decode_queue),
-                self.pools.decode.n_gpus, capacity=self.kv_capacity,
-            ),
-        })
-
-    def _spawn(self, pool: str, now: float) -> bool:
-        states = self._pool_states(pool)
-        if not self._spawn_allowed(pool, states):
-            return False
-        warm = now + max(0.0, self.controller.warmup_s)
-        if pool == "prefill":
-            states.append(PrefillState(spawned_at=now, up_from=warm))
-        else:
-            states.append(DecodeState(spawned_at=now, up_from=warm))
-        self.spawned += 1
-        self.events.push(warm, "spawn_ready", (pool,))
-        return True
-
-    def _drain(self, pool: str, now: float) -> bool:
-        states = self._pool_states(pool)
-        if self._drain_floor(states):
-            return False
-        candidates = [
-            i for i, s in enumerate(states) if not s.retired and not s.draining
-        ]
-        if pool == "prefill":
-            # Prefer idle instances; among equals, the latest-spawned.
-            idx = min(candidates, key=lambda i: (states[i].busy, -i))
-        else:
-            # Least resident KV state drains fastest; ties retire the
-            # latest-spawned instance first.
-            idx = min(candidates, key=lambda i: (states[i].occupied, -i))
-        inst = states[idx]
-        inst.draining = True
-        idle = (not inst.busy) if pool == "prefill" else (not inst.active)
-        if idle:
-            self._retire_state(inst, now)
-        return True
-
-    def _on_spawn_ready(self, now: float, payload: tuple) -> None:
-        (pool,) = payload
-        if pool == "prefill":
-            self._dispatch_prefill(now)
-        else:
-            self._admit_decode(now)
 
     # --- dispatch ----------------------------------------------------------
 
@@ -1086,7 +1195,7 @@ class PhaseSplitEngine(_EngineBase):
             inst.energy_busy += latency * self._busy_power_ratio
             self.events.push(time + latency, "prefill_done", (idx, tuple(batch)))
 
-    def _admit_decode(self, time: float) -> None:
+    def _admit_kv(self, time: float) -> None:
         if self.resilience is not None:
             self.resilience.sweep_queue(self.decode_queue, time)
         if not self.decode_queue:
@@ -1118,18 +1227,6 @@ class PhaseSplitEngine(_EngineBase):
 
     # --- handlers ----------------------------------------------------------
 
-    def _on_arrival(self, now: float, payload: tuple) -> None:
-        (request,) = payload
-        self._accept_request(request, now)
-
-    def _accept_request(self, request: Request, now: float) -> None:
-        if self.resilience is not None:
-            request = self.resilience.admit(request, now, len(self.prefill_queue))
-            if request is None:
-                return
-        self.prefill_queue.append(request)
-        self._dispatch_prefill(now)
-
     def _on_prefill_done(self, now: float, payload: tuple) -> None:
         idx, batch = payload
         inst = self.prefill_states[idx]
@@ -1139,7 +1236,7 @@ class PhaseSplitEngine(_EngineBase):
         for request in batch:
             self._record_ttft(request, now)
             self.decode_queue.append(request)
-        self._admit_decode(now)
+        self._admit_kv(now)
         self._dispatch_prefill(now)
 
     def _on_decode_iter(self, now: float, payload: tuple) -> None:
@@ -1172,8 +1269,6 @@ class PhaseSplitEngine(_EngineBase):
             # active-list rebuild on completion-free ticks.  The remaining
             # per-sequence work is a single integer increment, which keeps
             # ``generated``/``context_len`` live for inspectors.
-            # Completion order equals admit order within the bucket, which
-            # is the order the legacy scan completes them in.
             for seq in inst.active:
                 seq.generated += 1
             inst.iter_log.append(latency)
@@ -1181,111 +1276,16 @@ class PhaseSplitEngine(_EngineBase):
             inst.context_sum += batch  # every resident context grew by one
             done = inst.due.pop(inst.iter_count, None)
             if done:
-                for seq in done:
-                    self._complete(seq, finish, _tail_mean(inst, seq))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                if len(done) == batch:
-                    inst.active.clear()
-                else:
-                    done_ids = set(map(id, done))
-                    inst.active = [s for s in inst.active if id(s) not in done_ids]
-                _prune_iter_log(inst)
+                self._complete_due(inst, done, finish)
         else:
             for seq in inst.active:
                 seq.generated += 1
                 seq.iteration_times.append(latency)
             inst.context_sum += batch  # every resident context grew by one token
-            still_active: List[ActiveSequence] = []
-            for seq in inst.active:
-                if seq.done:
-                    self._complete(seq, finish, float(np.mean(seq.iteration_times)))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                else:
-                    still_active.append(seq)
-            inst.active = still_active
+            self._complete_scanned(inst, finish)
         self.events.push(finish, "decode_admit", (idx,))
 
-    def _on_decode_admit(self, now: float, payload: tuple) -> None:
-        (idx,) = payload
-        inst = self.decode_states[idx]
-        inst.running = False
-        self._admit_decode(now)
-        if inst.draining and not inst.retired and not inst.active:
-            self._retire_state(inst, now)
-            return
-        if inst.active and not inst.running and now >= inst.down_until:
-            inst.running = True
-            self.events.push(now, "decode_iter", (idx,))
-
-    def _on_failure(self, now: float, payload: tuple) -> None:
-        pool, index, duration = payload
-        # Elastic runs validate failures against the *expanded* instance
-        # range: a fault aimed at a never-spawned or already-retired
-        # instance hits no hardware.
-        states = self._pool_states(pool)
-        if index >= len(states) or states[index].retired:
-            return
-        # max(): a short overlapping failure must not cut an outage short
-        # (scripted and sampled schedules compose, so overlap is possible).
-        if pool == "prefill":
-            # An in-flight batch still finishes (its completion event is
-            # already queued); prefill state is lost only for queued work.
-            state = self.prefill_states[index]
-            previous_down = state.down_until
-            state.down_until = max(state.down_until, now + duration)
-            if self.resilience is not None:
-                self.resilience.on_failure_hit(
-                    now, duration, (),
-                    max(0.0, state.down_until - max(previous_down, now)),
-                )
-        else:
-            inst = self.decode_states[index]
-            previous_down = inst.down_until
-            inst.down_until = max(inst.down_until, now + duration)
-            inst.running = False
-            runtime = self.resilience
-            if runtime is None:
-                victims = [seq.request for seq in inst.active]  # KV lost
-            else:
-                # An expired victim is shed, not requeued — its end-to-end
-                # budget is already gone; the rest resume from their last
-                # checkpoint (restart-from-prefill when checkpointing is
-                # off or no interval completed yet).
-                victims = []
-                for seq in inst.active:
-                    if runtime.expired_deadline(seq.request, now):
-                        runtime.shed(seq.request, now, "deadline")
-                    else:
-                        victims.append(runtime.resume_request(seq.request, seq.generated))
-            self.policies.requeue.requeue_all(victims, self.prefill_queue)
-            for request in victims:
-                self._record_restart(request)
-            if runtime is not None:
-                runtime.on_failure_hit(
-                    now, duration, [r.request_id for r in victims],
-                    max(0.0, inst.down_until - max(previous_down, now)),
-                )
-            inst.active.clear()
-            _clear_iter_log(inst)
-            inst.occupied = 0
-            inst.context_sum = 0
-            if inst.draining and not inst.retired:
-                # A draining instance that just lost its residents has
-                # nothing left to finish: release its GPUs now.
-                self._retire_state(inst, now)
-            # Victims must not strand: once the arrival stream has ended
-            # nothing else would wake an idle prefill pool to re-serve them.
-            self._dispatch_prefill(now)
-        self.events.push(now + duration, "recovered", (pool, index))
-
-    def _on_recovered(self, now: float, payload: tuple) -> None:
-        pool, _ = payload
-        if pool == "prefill":
-            self._dispatch_prefill(now)
-        else:
-            self._admit_decode(now)
+    _on_decode_admit = _EngineBase._on_admit
 
 
 class ColocatedEngine(_EngineBase):
@@ -1299,6 +1299,9 @@ class ColocatedEngine(_EngineBase):
     partially prefilled sequences restart from the shared pending queue.
     """
 
+    _STATES = {"colocated": ColocatedState}
+    _ITER_KIND = "iter"
+
     def __init__(
         self,
         pool: ColocatedPool,
@@ -1310,80 +1313,24 @@ class ColocatedEngine(_EngineBase):
         power_curve: Optional[DVFSCurve] = None,
         spawn_limits: Optional[Dict[str, int]] = None,
     ) -> None:
-        super().__init__(config, controller, power_curve, spawn_limits)
+        super().__init__(
+            pool, config, policies, (provider,), failures,
+            controller, power_curve, spawn_limits,
+        )
         self.pool = pool
-        self.policies = policies
         self.provider = provider
-        self.kv_capacity = require_kv_headroom(pool.instance, "colocated")
-        self.failures = sorted(failures)
-        self.pending: Deque[Request] = deque()
-        self.states = [ColocatedState() for _ in range(pool.n_instances)]
+        self.pending = self.front_queue
+        self.states = self.kv_states
         # Private copy so a caller-held bundle's stateful routing (round
         # robin) is not mutated across runs.
         self.routing = copy.copy(policies.routing)
 
     def handlers(self):
-        return {
-            "arrival": self._on_arrival,
-            "retry": self._on_retry,
-            "iter": self._on_iter,
-            "admit": self._on_admit,
-            "failure": self._on_failure,
-            "recovered": self._on_recovered,
-            **self._control_handlers(),
-        }
-
-    # --- control plane ------------------------------------------------------
-
-    def _providers(self) -> List[AbstractServiceTimeProvider]:
-        return [self.provider]
-
-    def _all_states(self) -> list:
-        return list(self.states)
-
-    def _has_pending_work(self) -> bool:
-        return bool(self.pending or any(s.has_work() for s in self.states))
-
-    def _observe(self, now: float) -> ControlObservation:
-        return self._make_observation(now, {
-            "colocated": self._pool_stats(
-                self.states, now, len(self.pending),
-                self.pool.instance.n_gpus, capacity=self.kv_capacity,
-            ),
-        })
-
-    def _spawn(self, pool: str, now: float) -> bool:
-        if pool != "colocated":
-            raise SimulationError(f"unknown pool '{pool}' (have colocated)")
-        if not self._spawn_allowed(pool, self.states):
-            return False
-        warm = now + max(0.0, self.controller.warmup_s)
-        self.states.append(ColocatedState(spawned_at=now, up_from=warm))
-        self.spawned += 1
-        self.events.push(warm, "spawn_ready", (pool,))
-        return True
-
-    def _drain(self, pool: str, now: float) -> bool:
-        if pool != "colocated":
-            raise SimulationError(f"unknown pool '{pool}' (have colocated)")
-        if self._drain_floor(self.states):
-            return False
-        candidates = [
-            i for i, s in enumerate(self.states) if not s.retired and not s.draining
-        ]
-        idx = min(candidates, key=lambda i: (self.states[i].occupied, -i))
-        inst = self.states[idx]
-        inst.draining = True
-        if not inst.has_work():
-            self._retire_state(inst, now)
-        return True
-
-    def _on_spawn_ready(self, now: float, payload: tuple) -> None:
-        self._dispatch(now)
+        return {**super().handlers(), "iter": self._on_iter, "admit": self._on_admit}
 
     # --- dispatch ----------------------------------------------------------
 
-    def _dispatch(self, time: float) -> None:
+    def _admit_kv(self, time: float) -> None:
         if self.resilience is not None:
             self.resilience.sweep_queue(self.pending, time)
         if not self.pending:
@@ -1405,18 +1352,6 @@ class ColocatedEngine(_EngineBase):
             if inst.has_work() and not inst.running:
                 inst.running = True
                 self.events.push(max(time, inst.busy_until), "iter", (idx,))
-
-    def _on_arrival(self, now: float, payload: tuple) -> None:
-        (request,) = payload
-        self._accept_request(request, now)
-
-    def _accept_request(self, request: Request, now: float) -> None:
-        if self.resilience is not None:
-            request = self.resilience.admit(request, now, len(self.pending))
-            if request is None:
-                return
-        self.pending.append(request)
-        self._dispatch(now)
 
     def _on_iter(self, now: float, payload: tuple) -> None:
         (idx,) = payload
@@ -1466,16 +1401,7 @@ class ColocatedEngine(_EngineBase):
                     inst.current = None
             done = inst.due.pop(inst.iter_count, None)
             if done:
-                for seq in done:
-                    self._complete(seq, finish, _tail_mean(inst, seq))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                if len(done) == len(inst.active):
-                    inst.active.clear()
-                else:
-                    done_ids = set(map(id, done))
-                    inst.active = [s for s in inst.active if id(s) not in done_ids]
-                _prune_iter_log(inst)
+                self._complete_due(inst, done, finish)
         else:
             for seq in inst.active:
                 seq.generated += 1
@@ -1489,84 +1415,5 @@ class ColocatedEngine(_EngineBase):
                     inst.active.append(ActiveSequence(request=request, ttft_done=finish))
                     inst.context_sum += request.prompt_tokens
                     inst.current = None
-            still_active: List[ActiveSequence] = []
-            for seq in inst.active:
-                if seq.done:
-                    self._complete(seq, finish, float(np.mean(seq.iteration_times)))
-                    inst.occupied -= seq.request.total_tokens
-                    inst.context_sum -= seq.context_len
-                else:
-                    still_active.append(seq)
-            inst.active = still_active
+            self._complete_scanned(inst, finish)
         self.events.push(finish, "admit", (idx,))
-
-    def _on_admit(self, now: float, payload: tuple) -> None:
-        (idx,) = payload
-        inst = self.states[idx]
-        inst.running = False
-        self._dispatch(now)
-        if inst.draining and not inst.retired and not inst.has_work():
-            self._retire_state(inst, now)
-            return
-        if inst.has_work() and not inst.running and now >= inst.down_until:
-            inst.running = True
-            self.events.push(now, "iter", (idx,))
-
-    def _on_failure(self, now: float, payload: tuple) -> None:
-        _, index, duration = payload
-        if index >= len(self.states) or self.states[index].retired:
-            return
-        inst = self.states[index]
-        previous_down = inst.down_until
-        inst.down_until = max(inst.down_until, now + duration)
-        inst.running = False
-        runtime = self.resilience
-        if runtime is None:
-            lost = [seq.request for seq in inst.active]
-            if inst.current is not None:
-                lost.append(inst.current.request)
-            backlog = [partial.request for partial in inst.backlog]
-        else:
-            # Expired victims (and expired backlog) are shed, not requeued;
-            # surviving decode victims resume from their last checkpoint.
-            # A partially chunked prompt has generated nothing, so it
-            # restarts as-is.
-            candidates = [(seq.request, seq.generated) for seq in inst.active]
-            if inst.current is not None:
-                candidates.append((inst.current.request, 0))
-            lost = []
-            for request, generated in candidates:
-                if runtime.expired_deadline(request, now):
-                    runtime.shed(request, now, "deadline")
-                else:
-                    lost.append(runtime.resume_request(request, generated))
-            backlog = []
-            for partial in inst.backlog:
-                if runtime.expired_deadline(partial.request, now):
-                    runtime.shed(partial.request, now, "deadline")
-                else:
-                    backlog.append(partial.request)
-        for request in lost:  # KV / partial prefill lost: a real restart
-            self._record_restart(request)
-        # One order-preserving batch: real victims ahead of the backlog
-        # (admitted but never chunked — no work lost, no restart counted).
-        self.policies.requeue.requeue_all(lost + backlog, self.pending)
-        if runtime is not None:
-            runtime.on_failure_hit(
-                now, duration, [r.request_id for r in lost],
-                max(0.0, inst.down_until - max(previous_down, now)),
-            )
-        inst.active.clear()
-        _clear_iter_log(inst)
-        inst.backlog.clear()
-        inst.current = None
-        inst.occupied = 0
-        inst.context_sum = 0
-        if inst.draining and not inst.retired:
-            self._retire_state(inst, now)
-        # Healthy idle instances pick the victims up now, not at repair time.
-        self._dispatch(now)
-        self.events.push(now + duration, "recovered", (index,))
-
-    def _on_recovered(self, now: float, payload: tuple) -> None:
-        self._dispatch(now)

@@ -151,7 +151,7 @@ class Placement:
         return "\n".join(lines)
 
 
-def _require_capacity(topology: Topology, shapes: Sequence[PoolShape]) -> int:
+def require_capacity(topology: Topology, shapes: Sequence[PoolShape]) -> int:
     needed = sum(shape.total_gpus for shape in shapes)
     if needed > topology.n_gpus:
         raise SpecError(
@@ -177,7 +177,7 @@ def _chunk(order: Sequence[int], shapes: Sequence[PoolShape]) -> List[Tuple[str,
 
 def place_packed(topology: Topology, shapes: Sequence[PoolShape], seed: int = 0) -> Placement:
     """Consecutive blocks: instance k gets GPUs [k*w, (k+1)*w)."""
-    _require_capacity(topology, shapes)
+    require_capacity(topology, shapes)
     return Placement(topology.n_gpus, tuple(_chunk(range(topology.n_gpus), shapes)), "packed")
 
 
@@ -188,7 +188,7 @@ def place_scattered(topology: Topology, shapes: Sequence[PoolShape], seed: int =
     placement for hop counts and uplink contention, and the most favourable
     one for correlated blast radius.
     """
-    _require_capacity(topology, shapes)
+    require_capacity(topology, shapes)
     total_instances = sum(shape.n_instances for shape in shapes)
     widths = [shape.gpus_per_instance for shape in shapes for _ in range(shape.n_instances)]
     order: List[int] = []
@@ -204,7 +204,7 @@ def place_scattered(topology: Topology, shapes: Sequence[PoolShape], seed: int =
 
 def place_random(topology: Topology, shapes: Sequence[PoolShape], seed: int = 0) -> Placement:
     """Seeded shuffle of all GPU indices, then consecutive chunks."""
-    _require_capacity(topology, shapes)
+    require_capacity(topology, shapes)
     rng = np.random.default_rng(seed)
     order = [int(i) for i in rng.permutation(topology.n_gpus)]
     return Placement(topology.n_gpus, tuple(_chunk(order, shapes)), "random")
@@ -218,7 +218,7 @@ def place_greedy(topology: Topology, shapes: Sequence[PoolShape], seed: int = 0)
     to the members already chosen (ties break on index).  O(instances *
     width * n_gpus) hop evaluations — fine at simulator scales.
     """
-    _require_capacity(topology, shapes)
+    require_capacity(topology, shapes)
     free = list(range(topology.n_gpus))
     assignments: List[Tuple[str, Tuple[Tuple[int, ...], ...]]] = []
     for shape in shapes:

@@ -26,7 +26,7 @@ behaviour is exactly the ``"fcfs"`` bundle of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..core.inference import (
     DecodeWorkload,
@@ -90,8 +90,35 @@ class InstanceSpec:
         return result.latency
 
 
+class PoolRow(NamedTuple):
+    """One pool of a deployment, as the simulator and engines see it.
+
+    ``holds_kv`` marks pools whose instances keep KV state resident (decode
+    and colocated pools): their admission is KV-budgeted and a failure
+    evicts their sequences.  A pool without KV state only runs batches.
+    """
+
+    name: str
+    spec: InstanceSpec
+    n_instances: int
+    holds_kv: bool
+
+
+class _PoolTable:
+    """Derives the placement-layer shapes from a deployment's pool table."""
+
+    def pool_table(self) -> Tuple[PoolRow, ...]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def pool_shapes(self) -> Tuple[PoolShape, ...]:
+        """The placement-layer description of this deployment's pools."""
+        return tuple(
+            PoolShape(row.name, row.n_instances, row.spec.n_gpus) for row in self.pool_table()
+        )
+
+
 @dataclass(frozen=True)
-class PhasePools:
+class PhasePools(_PoolTable):
     """A phase-split deployment: prefill instances + decode instances."""
 
     prefill: InstanceSpec
@@ -122,11 +149,11 @@ class PhasePools:
             + self.n_decode * self.decode.n_gpus * self.decode.gpu.sms
         )
 
-    def pool_shapes(self) -> Tuple[PoolShape, ...]:
-        """The placement-layer description of this deployment's pools."""
+    def pool_table(self) -> Tuple[PoolRow, ...]:
+        """The prefill pool (front door, no KV) then the decode pool."""
         return (
-            PoolShape("prefill", self.n_prefill, self.prefill.n_gpus),
-            PoolShape("decode", self.n_decode, self.decode.n_gpus),
+            PoolRow("prefill", self.prefill, self.n_prefill, False),
+            PoolRow("decode", self.decode, self.n_decode, True),
         )
 
     def describe(self) -> str:
@@ -139,7 +166,7 @@ class PhasePools:
 
 
 @dataclass(frozen=True)
-class ColocatedPool:
+class ColocatedPool(_PoolTable):
     """A colocated deployment: one pool interleaving prefill and decode.
 
     Every instance runs SARATHI-style mixed iterations — a continuous decode
@@ -172,9 +199,9 @@ class ColocatedPool:
         """All SMs in the pool (for efficiency normalization)."""
         return self.total_gpus * self.instance.gpu.sms
 
-    def pool_shapes(self) -> Tuple[PoolShape, ...]:
-        """The placement-layer description of this deployment's pool."""
-        return (PoolShape("colocated", self.n_instances, self.instance.n_gpus),)
+    def pool_table(self) -> Tuple[PoolRow, ...]:
+        """The single KV-holding ``"colocated"`` pool."""
+        return (PoolRow("colocated", self.instance, self.n_instances, True),)
 
     def describe(self) -> str:
         """One-line deployment summary."""

@@ -14,12 +14,16 @@ The heavy lifting lives one layer down:
   / requeue policies (the seed's hardcoded behaviour is the ``"fcfs"``
   bundle).
 
-Two deployment shapes share one report format:
+Two deployment shapes share one simulator core and one report builder:
 
 - :class:`ServingSimulator` — a Splitwise-style :class:`PhasePools`
   deployment (dedicated prefill and decode pools);
 - :class:`ColocatedSimulator` — a SARATHI-style :class:`ColocatedPool`
   where every instance interleaves chunked prefill with decode.
+
+Both are thin subclasses of one core driven by the deployment's pool table
+(``pool_table()``: name, instance spec, instance count, whether the pool
+holds KV state); :func:`simulator_for` picks the class for a deployment.
 
 Failures can be scripted as ``(time, pool, index, repair_duration)`` tuples
 and/or sampled stochastically from a :class:`FailureModel` with a seeded
@@ -60,7 +64,7 @@ from .failures import (
     resolve_component_failures,
     sample_failure_schedule,
 )
-from .placement import Placement, PoolShape, place
+from .placement import Placement, PoolShape, place, require_capacity
 from .policies import PolicyBundle, get_policy_bundle
 from .resilience import ResilienceConfig, wrap_checkpoint_writes
 from .scheduler import ColocatedPool, PhasePools
@@ -71,6 +75,7 @@ __all__ = [
     "CompletedRequest",
     "ServingSimulator",
     "ColocatedSimulator",
+    "simulator_for",
     "NETWORK_MODELS",
 ]
 
@@ -176,7 +181,9 @@ def _elastic_shapes(
         return shapes, {pool: len(placer.groups(pool)) for pool in placer.pools}
     if topology is None:
         return shapes, {}
-    free = topology.n_gpus - sum(s.total_gpus for s in shapes)
+    # Too small a topology is the same error with or without growth room;
+    # expanding from a negative ``free`` would shrink pools instead.
+    free = topology.n_gpus - require_capacity(topology, shapes)
     expanded: List[PoolShape] = []
     limits: Dict[str, int] = {}
     for shape in shapes:
@@ -375,81 +382,49 @@ class SimReport:
 
 
 def _build_report(
-    completed: List[CompletedRequest],
-    arrivals: int,
-    out_tokens: int,
-    duration: float,
-    prefill_busy: Sequence[float],
-    decode_busy: Sequence[float],
-    requeued: int,
-    restarted: int,
+    engine, prefill_busy: Sequence[float], decode_busy: Sequence[float]
 ) -> SimReport:
-    # ``out_tokens`` is the engine's counter rather than a sum over
-    # ``completed``: the two agree bit-for-bit on the default path, but
-    # checkpointed restarts shrink a resumed request's ``output_tokens``
-    # and pay the difference back as credit only the counter sees.
-    duration = max(duration, 1e-9)
-    nan = float("nan")
-    if completed:
-        # One pass over the completions builds a (n, 3) metric matrix, and
-        # one vectorized percentile call covers every quantile column —
-        # instead of three array builds plus five separate percentile sorts.
-        metrics = np.array([(c.ttft, c.mean_tbt, c.e2e) for c in completed])
-        (ttft_p50, tbt_p50_unused, e2e_p50), (ttft_p99, tbt_p99, e2e_p99) = np.percentile(
-            metrics, (50, 99), axis=0
-        )
-        del tbt_p50_unused
-        tbt_mean = float(np.mean(metrics[:, 1]))
-    else:
-        ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = nan
-    prefill_util = float(np.mean(prefill_busy) / duration)
-    decode_util = float(np.mean(decode_busy) / duration)
-    return SimReport(
-        completed=len(completed),
-        dropped=arrivals - len(completed),
-        duration=duration,
-        ttft_p50=float(ttft_p50),
-        ttft_p99=float(ttft_p99),
-        tbt_mean=tbt_mean,
-        tbt_p99=float(tbt_p99),
-        e2e_p50=float(e2e_p50),
-        e2e_p99=float(e2e_p99),
-        output_tokens_per_s=out_tokens / duration,
-        prefill_utilization=min(1.0, prefill_util),
-        decode_utilization=min(1.0, decode_util),
-        requeued_on_failure=requeued,
-        restarted_requests=restarted,
-    )
+    """One run's :class:`SimReport` from its engine, in either metric mode.
 
+    Counters (completed/dropped/tokens/utilization) are exact in both
+    modes.  Latency quantiles come from one vectorized percentile pass over
+    the ``CompletedRequest`` list under ``metrics="exact"``, or from the
+    engine's quantile sketches under ``metrics="streaming"`` (≤1% relative
+    error on the latency shapes the simulator produces).
 
-def _build_streaming_report(
-    metrics,  # repro.analysis.streaming.StreamingMetrics
-    arrivals: int,
-    out_tokens: int,
-    duration: float,
-    prefill_busy: Sequence[float],
-    decode_busy: Sequence[float],
-    requeued: int,
-    restarted: int,
-) -> SimReport:
-    """The constant-memory counterpart of :func:`_build_report`.
-
-    Counters (completed/dropped/tokens/utilization) are exact; latency
-    percentiles come from the engine's quantile sketches, accurate to ≤1%
-    relative error on the latency shapes the simulator produces.
+    Output tokens come from the engine's counter rather than a sum over the
+    completions: the two agree bit-for-bit on the default path, but
+    checkpointed restarts shrink a resumed request's ``output_tokens`` and
+    pay the difference back as credit only the counter sees.  Restart
+    counts come from ``engine.restarted_total`` (incremented once per
+    distinct request) rather than ``len(engine.restarts)``: the streaming
+    path prunes the per-request dict at completion to bound memory, and
+    per-shard totals must survive that pruning so sharded and unsharded
+    runs agree (the ids are disjoint across shards, so summing
+    distinct-request counts is exact).
     """
-    duration = max(duration, 1e-9)
-    if metrics.completed:
-        ttft_p50, ttft_p99 = metrics.ttft.quantiles((0.5, 0.99))
-        e2e_p50, e2e_p99 = metrics.e2e.quantiles((0.5, 0.99))
-        tbt_p99 = metrics.tbt.quantile(0.99)
-        tbt_mean = metrics.tbt.mean
-    else:
+    duration = max(engine.work_time, 1e-9)
+    sketches = engine.metrics
+    completed = len(engine.completed) if sketches is None else sketches.completed
+    if not completed:
         nan = float("nan")
         ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = nan
-    return SimReport(
-        completed=metrics.completed,
-        dropped=arrivals - metrics.completed,
+    elif sketches is None:
+        # One pass over the completions builds a (n, 3) metric matrix, and
+        # one vectorized percentile call covers every quantile column.
+        metrics = np.array([(c.ttft, c.mean_tbt, c.e2e) for c in engine.completed])
+        (ttft_p50, _, e2e_p50), (ttft_p99, tbt_p99, e2e_p99) = np.percentile(
+            metrics, (50, 99), axis=0
+        )
+        tbt_mean = float(np.mean(metrics[:, 1]))
+    else:
+        ttft_p50, ttft_p99 = sketches.ttft.quantiles((0.5, 0.99))
+        e2e_p50, e2e_p99 = sketches.e2e.quantiles((0.5, 0.99))
+        tbt_p99 = sketches.tbt.quantile(0.99)
+        tbt_mean = sketches.tbt.mean
+    report = SimReport(
+        completed=completed,
+        dropped=engine.arrivals - completed,
         duration=duration,
         ttft_p50=float(ttft_p50),
         ttft_p99=float(ttft_p99),
@@ -457,40 +432,12 @@ def _build_streaming_report(
         tbt_p99=float(tbt_p99),
         e2e_p50=float(e2e_p50),
         e2e_p99=float(e2e_p99),
-        output_tokens_per_s=out_tokens / duration,
+        output_tokens_per_s=engine.output_token_count / duration,
         prefill_utilization=min(1.0, float(np.mean(prefill_busy) / duration)),
         decode_utilization=min(1.0, float(np.mean(decode_busy) / duration)),
-        requeued_on_failure=requeued,
-        restarted_requests=restarted,
+        requeued_on_failure=engine.requeued,
+        restarted_requests=engine.restarted_total,
     )
-
-
-def _report_from_engine(
-    engine,
-    prefill_busy: Sequence[float],
-    decode_busy: Sequence[float],
-) -> SimReport:
-    """Dispatch to the exact or streaming report builder for a run engine.
-
-    Restart counts come from ``engine.restarted_total`` (incremented once
-    per distinct request) rather than ``len(engine.restarts)`` — the
-    streaming path prunes the per-request dict at completion to bound
-    memory, and per-shard totals must survive that pruning so sharded and
-    unsharded runs agree (the ids are disjoint across shards, so summing
-    distinct-request counts is exact).
-    """
-    if engine.metrics is not None:
-        report = _build_streaming_report(
-            engine.metrics, engine.arrivals, engine.output_token_count,
-            engine.work_time, prefill_busy, decode_busy,
-            engine.requeued, engine.restarted_total,
-        )
-    else:
-        report = _build_report(
-            engine.completed, engine.arrivals, engine.output_token_count,
-            engine.work_time, prefill_busy, decode_busy,
-            engine.requeued, engine.restarted_total,
-        )
     if engine.resilience is not None:
         fields = engine.resilience.report_fields(
             report.duration,
@@ -520,29 +467,6 @@ def _failure_limit(
     if controller is not None and controller.epoch > 0:
         return max(initial, controller.max_instances)
     return initial
-
-
-def _attach_economics(
-    report: SimReport, engine, pool_rollups: Tuple
-) -> Tuple[SimReport, EconomicsReport]:
-    """Fold the engine's resource counters into the report's cost fields."""
-    # The engine-maintained integer counter equals the old genexpr sum over
-    # ``completed`` bit-for-bit, and also exists when streaming metrics
-    # never materialize the completion list.
-    out_tokens = engine.output_token_count
-    econ = EconomicsReport(
-        pools=tuple(pool_rollups), duration=report.duration, output_tokens=out_tokens
-    )
-    report = replace(
-        report,
-        gpu_seconds=econ.gpu_seconds,
-        energy_joules=econ.energy_joules,
-        usd_cost=econ.usd_cost,
-        usd_per_mtoken=econ.usd_per_mtoken,
-        spawned_instances=engine.spawned,
-        retired_instances=engine.retired,
-    )
-    return report, econ
 
 
 def _check_fluid_composition(
@@ -589,14 +513,165 @@ def _validate_failures(
     return failures
 
 
-class ServingSimulator:
+class _PoolSimulator:
+    """Everything the simulators share, driven by the deployment's pool table.
+
+    :meth:`~repro.cluster.scheduler.PhasePools.pool_table` lists each pool
+    as ``(name, InstanceSpec, n_instances, holds_kv)``; construction checks,
+    places, schedules failures and builds one service-time provider per
+    row, and :meth:`run` hands them to the shape's engine (or fluid model)
+    and rolls the engine's pools up into the report and its economics.
+    A subclass names its engine, its fluid report, and the attribute that
+    holds each pool's provider.  :meth:`run` reads the providers from those
+    attributes, so a provider swapped in after construction is used.
+    """
+
+    _engine: type
+    #: Name of the shape's report function in :mod:`repro.cluster.fluid`.
+    _fluid_report: str
+    #: Attribute holding each pool's service-time provider, in table order.
+    _provider_attrs: Tuple[str, ...]
+
+    def __init__(
+        self, deployment, config, failures, policies, failure_model, failure_seed,
+        topology, placer, network_model, component_failures, component_model,
+        controller, economics,
+    ) -> None:
+        self._deployment = deployment
+        table = deployment.pool_table()
+        for row in table:
+            if row.holds_kv:
+                require_kv_headroom(row.spec, row.name)  # fail fast, before run()
+        self.config = config or SimConfig()
+        self._policy_spec = policies
+        self.topology = topology
+        self.network_model = network_model
+        self.controller = get_controller(controller)
+        _check_fluid_composition(
+            self.config, failures, failure_model,
+            component_failures, component_model, self.controller,
+        )
+        self.economics = economics or EconomicsConfig()
+        self.last_economics: Optional[EconomicsReport] = None
+        # StreamingMetrics of the last run (None under metrics="exact");
+        # sharded execution merges these across shard engines.
+        self.last_metrics = None
+        shapes, self._spawn_limits = _elastic_shapes(
+            deployment.pool_shapes(), self.controller, topology, placer
+        )
+        self.placement = _network_setup(
+            topology, placer, network_model, shapes,
+            component_failures, component_model,
+        )
+        all_failures = list(failures)
+        horizon = self.config.max_sim_time
+        if failure_model is not None:
+            # Each pool samples with its own seed: ``failure_seed`` plus its
+            # position in the table.
+            for offset, row in enumerate(table):
+                all_failures += sample_failure_schedule(
+                    failure_model, row.name, row.n_instances, horizon,
+                    seed=failure_seed + offset, gpus_per_instance=row.spec.n_gpus,
+                )
+        if self.placement is not None and (component_failures or component_model is not None):
+            all_failures += _component_instance_failures(
+                topology, self.placement, component_failures, component_model,
+                horizon, failure_seed,
+            )
+        self.failures = _validate_failures(
+            all_failures,
+            {
+                row.name: _failure_limit(
+                    self._spawn_limits, self.controller, row.name, row.n_instances
+                )
+                for row in table
+            },
+        )
+        for attr, row in zip(self._provider_attrs, table):
+            provider = _make_provider(
+                row.spec, self.config, network_model, topology, self.placement, row.name
+            )
+            if row.holds_kv:
+                # Checkpointed restarts stream KV to storage during decode;
+                # the wrapper is a no-op (returns the provider unchanged)
+                # unless a checkpoint interval is configured.
+                provider = wrap_checkpoint_writes(provider, row.spec, self.config.resilience)
+            setattr(self, attr, provider)
+
+    def run(self, trace: "Sequence[Request] | Iterable[Request]") -> SimReport:
+        """Simulate the trace to completion (or the time horizon).
+
+        ``trace`` may also be an iterator of arrival-ordered requests (e.g.
+        :func:`repro.workloads.traces.iter_trace`): arrivals are then fed
+        one ahead of the clock, so memory stays bounded by in-flight work.
+
+        >>> # see examples/splitwise_serving.py for an end-to-end run
+        """
+        providers = [getattr(self, attr) for attr in self._provider_attrs]
+        for provider in providers:
+            provider.set_frequency(1.0)
+        policies = get_policy_bundle(self._policy_spec)
+        if self.config.backend == "fluid":
+            from . import fluid
+
+            report, self.last_economics = getattr(fluid, self._fluid_report)(
+                self._deployment, self.config, trace, *providers, policies, self.economics
+            )
+            self.last_metrics = None
+            return report
+        engine = self._engine(
+            self._deployment,
+            self.config,
+            policies,
+            *providers,
+            self.failures,
+            # A private copy per run: controllers keep hysteresis state.
+            controller=copy.deepcopy(self.controller),
+            power_curve=self.economics.curve,
+            spawn_limits=self._spawn_limits,
+        )
+        engine.run(trace)
+        self.last_metrics = engine.metrics
+        table, states = engine.pool_table, engine.pool_states
+        # The first pool's busy time is the report's prefill utilization and
+        # the last pool's its decode utilization (the same single pool when
+        # the deployment is colocated).
+        report = _build_report(
+            engine,
+            [s.busy_time for s in states[table[0].name]],
+            [s.busy_time for s in states[table[-1].name]],
+        )
+        econ = EconomicsReport(
+            pools=tuple(
+                pool_economics(
+                    row.name, row.spec, states[row.name], report.duration, self.economics
+                )
+                for row in table
+            ),
+            duration=report.duration,
+            output_tokens=engine.output_token_count,
+        )
+        self.last_economics = econ
+        return replace(
+            report,
+            gpu_seconds=econ.gpu_seconds,
+            energy_joules=econ.energy_joules,
+            usd_cost=econ.usd_cost,
+            usd_per_mtoken=econ.usd_per_mtoken,
+            spawned_instances=engine.spawned,
+            retired_instances=engine.retired,
+        )
+
+
+class ServingSimulator(_PoolSimulator):
     """Event-driven simulation of a :class:`PhasePools` deployment.
 
     ``policies`` selects a :class:`PolicyBundle` by name or instance (see
     :data:`repro.cluster.policies.POLICY_BUNDLES`); the default ``"fcfs"``
     reproduces the seed simulator exactly.  ``failure_model`` adds
-    stochastic instance failures (seeded by ``failure_seed``) on top of any
-    scripted ``failures``.
+    stochastic instance failures on top of any scripted ``failures``: the
+    prefill pool samples with ``failure_seed``, the decode pool with
+    ``failure_seed + 1``.
 
     Topology co-simulation: pass a ``topology`` to map every instance onto
     physical GPUs (``placer`` names a :data:`repro.cluster.placement.PLACERS`
@@ -618,6 +693,10 @@ class ServingSimulator:
     ``self.last_economics`` after each run.
     """
 
+    _engine = PhaseSplitEngine
+    _fluid_report = "fluid_phase_split_report"
+    _provider_attrs = ("prefill_provider", "decode_provider")
+
     def __init__(
         self,
         pools: PhasePools,
@@ -636,123 +715,14 @@ class ServingSimulator:
         economics: Optional[EconomicsConfig] = None,
     ) -> None:
         self.pools = pools
-        require_kv_headroom(pools.decode, "decode")  # fail fast, before run()
-        self.config = config or SimConfig()
-        self._policy_spec = policies
-        self.topology = topology
-        self.network_model = network_model
-        self.controller = get_controller(controller)
-        _check_fluid_composition(
-            self.config, failures, failure_model,
-            component_failures, component_model, self.controller,
-        )
-        self.economics = economics or EconomicsConfig()
-        self.last_economics: Optional[EconomicsReport] = None
-        # StreamingMetrics of the last run (None under metrics="exact");
-        # sharded execution merges these across shard engines.
-        self.last_metrics = None
-        shapes, self._spawn_limits = _elastic_shapes(
-            pools.pool_shapes(), self.controller, topology, placer
-        )
-        self.placement = _network_setup(
-            topology, placer, network_model, shapes,
-            component_failures, component_model,
-        )
-        all_failures = list(failures)
-        horizon = self.config.max_sim_time
-        if failure_model is not None:
-            all_failures += sample_failure_schedule(
-                failure_model, "prefill", pools.n_prefill, horizon,
-                seed=failure_seed, gpus_per_instance=pools.prefill.n_gpus,
-            )
-            all_failures += sample_failure_schedule(
-                failure_model, "decode", pools.n_decode, horizon,
-                seed=failure_seed + 1, gpus_per_instance=pools.decode.n_gpus,
-            )
-        if self.placement is not None and (component_failures or component_model is not None):
-            all_failures += _component_instance_failures(
-                topology, self.placement, component_failures, component_model,
-                horizon, failure_seed,
-            )
-        self.failures = _validate_failures(
-            all_failures,
-            {
-                "prefill": _failure_limit(
-                    self._spawn_limits, self.controller, "prefill", pools.n_prefill
-                ),
-                "decode": _failure_limit(
-                    self._spawn_limits, self.controller, "decode", pools.n_decode
-                ),
-            },
-        )
-        self.prefill_provider = _make_provider(
-            pools.prefill, self.config, network_model, topology, self.placement, "prefill"
-        )
-        self.decode_provider = _make_provider(
-            pools.decode, self.config, network_model, topology, self.placement, "decode"
-        )
-        # Checkpointed restarts stream KV to storage during decode; the
-        # wrapper is a no-op (returns the provider unchanged) unless a
-        # checkpoint interval is configured.
-        self.decode_provider = wrap_checkpoint_writes(
-            self.decode_provider, pools.decode, self.config.resilience
+        super().__init__(
+            pools, config, failures, policies, failure_model, failure_seed,
+            topology, placer, network_model, component_failures, component_model,
+            controller, economics,
         )
 
-    def run(self, trace: "Sequence[Request] | Iterable[Request]") -> SimReport:
-        """Simulate the trace to completion (or the time horizon).
 
-        ``trace`` may also be an iterator of arrival-ordered requests (e.g.
-        :func:`repro.workloads.traces.iter_trace`): arrivals are then fed
-        one ahead of the clock, so memory stays bounded by in-flight work.
-
-        >>> # see examples/splitwise_serving.py for an end-to-end run
-        """
-        self.prefill_provider.set_frequency(1.0)
-        self.decode_provider.set_frequency(1.0)
-        if self.config.backend == "fluid":
-            from .fluid import fluid_phase_split_report
-
-            report, self.last_economics = fluid_phase_split_report(
-                self.pools, self.config, trace,
-                self.prefill_provider, self.decode_provider,
-                get_policy_bundle(self._policy_spec), self.economics,
-            )
-            self.last_metrics = None
-            return report
-        engine = PhaseSplitEngine(
-            self.pools,
-            self.config,
-            get_policy_bundle(self._policy_spec),
-            self.prefill_provider,
-            self.decode_provider,
-            self.failures,
-            # A private copy per run: controllers keep hysteresis state.
-            controller=copy.deepcopy(self.controller),
-            power_curve=self.economics.curve,
-            spawn_limits=self._spawn_limits,
-        )
-        engine.run(trace)
-        self.last_metrics = engine.metrics
-        report = _report_from_engine(
-            engine,
-            [s.busy_time for s in engine.prefill_states],
-            [s.busy_time for s in engine.decode_states],
-        )
-        pool_rollups = (
-            pool_economics(
-                "prefill", self.pools.prefill, engine.prefill_states,
-                report.duration, self.economics,
-            ),
-            pool_economics(
-                "decode", self.pools.decode, engine.decode_states,
-                report.duration, self.economics,
-            ),
-        )
-        report, self.last_economics = _attach_economics(report, engine, pool_rollups)
-        return report
-
-
-class ColocatedSimulator:
+class ColocatedSimulator(_PoolSimulator):
     """Event-driven simulation of a :class:`ColocatedPool` deployment.
 
     Scripted failures use pool name ``"colocated"``.  The report's
@@ -761,8 +731,12 @@ class ColocatedSimulator:
     knobs (``topology``/``placer``/``network_model``/component failures)
     and the elastic knobs (``controller``/``economics``) behave exactly as
     on :class:`ServingSimulator`; controllers scale the single
-    ``"colocated"`` pool.
+    ``"colocated"`` pool, and sampled failures use ``failure_seed``.
     """
+
+    _engine = ColocatedEngine
+    _fluid_report = "fluid_colocated_report"
+    _provider_attrs = ("provider",)
 
     def __init__(
         self,
@@ -782,88 +756,28 @@ class ColocatedSimulator:
         economics: Optional[EconomicsConfig] = None,
     ) -> None:
         self.pool = pool
-        self.config = config or SimConfig()
-        self._policy_spec = policies
-        require_kv_headroom(pool.instance, "colocated")  # fail fast, before run()
-        self.topology = topology
-        self.network_model = network_model
-        self.controller = get_controller(controller)
-        _check_fluid_composition(
-            self.config, failures, failure_model,
-            component_failures, component_model, self.controller,
-        )
-        self.economics = economics or EconomicsConfig()
-        self.last_economics: Optional[EconomicsReport] = None
-        self.last_metrics = None
-        shapes, self._spawn_limits = _elastic_shapes(
-            pool.pool_shapes(), self.controller, topology, placer
-        )
-        self.placement = _network_setup(
-            topology, placer, network_model, shapes,
-            component_failures, component_model,
-        )
-        all_failures = list(failures)
-        horizon = self.config.max_sim_time
-        if failure_model is not None:
-            all_failures += sample_failure_schedule(
-                failure_model, "colocated", pool.n_instances, horizon,
-                seed=failure_seed, gpus_per_instance=pool.instance.n_gpus,
-            )
-        if self.placement is not None and (component_failures or component_model is not None):
-            all_failures += _component_instance_failures(
-                topology, self.placement, component_failures, component_model,
-                horizon, failure_seed,
-            )
-        self.failures = _validate_failures(
-            all_failures,
-            {
-                "colocated": _failure_limit(
-                    self._spawn_limits, self.controller, "colocated", pool.n_instances
-                )
-            },
-        )
-        self.provider = _make_provider(
-            pool.instance, self.config, network_model, topology, self.placement, "colocated"
-        )
-        # No-op unless a checkpoint interval is configured (see the
-        # phase-split simulator for the rationale).
-        self.provider = wrap_checkpoint_writes(
-            self.provider, pool.instance, self.config.resilience
+        super().__init__(
+            pool, config, failures, policies, failure_model, failure_seed,
+            topology, placer, network_model, component_failures, component_model,
+            controller, economics,
         )
 
-    def run(self, trace: "Sequence[Request] | Iterable[Request]") -> SimReport:
-        """Simulate the trace to completion (or the time horizon).
 
-        Iterator traces are fed one arrival ahead of the clock, exactly as
-        on :meth:`ServingSimulator.run`.
-        """
-        self.provider.set_frequency(1.0)
-        if self.config.backend == "fluid":
-            from .fluid import fluid_colocated_report
+_SIMULATORS = {PhasePools: ServingSimulator, ColocatedPool: ColocatedSimulator}
 
-            report, self.last_economics = fluid_colocated_report(
-                self.pool, self.config, trace, self.provider,
-                get_policy_bundle(self._policy_spec), self.economics,
-            )
-            self.last_metrics = None
-            return report
-        engine = ColocatedEngine(
-            self.pool,
-            self.config,
-            get_policy_bundle(self._policy_spec),
-            self.provider,
-            self.failures,
-            controller=copy.deepcopy(self.controller),
-            power_curve=self.economics.curve,
-            spawn_limits=self._spawn_limits,
+
+def simulator_for(deployment) -> type:
+    """The simulator class that runs ``deployment``'s shape.
+
+    >>> simulator_for("not a deployment")
+    Traceback (most recent call last):
+    ...
+    repro.errors.SpecError: deployment must be a PhasePools or ColocatedPool, got str
+    """
+    simulator = _SIMULATORS.get(type(deployment))
+    if simulator is None:
+        raise SpecError(
+            "deployment must be a PhasePools or ColocatedPool, "
+            f"got {type(deployment).__name__}"
         )
-        engine.run(trace)
-        self.last_metrics = engine.metrics
-        busy = [s.busy_time for s in engine.states]
-        report = _report_from_engine(engine, busy, busy)
-        rollup = pool_economics(
-            "colocated", self.pool.instance, engine.states,
-            report.duration, self.economics,
-        )
-        report, self.last_economics = _attach_economics(report, engine, (rollup,))
-        return report
+    return simulator

@@ -135,12 +135,10 @@ def shard_deployment(deployment: Any, n_shards: int) -> List[Any]:
 
 
 def _pool_weights(deployment: Any) -> Tuple[int, int]:
-    """(prefill, decode) instance counts — colocated pools count once each."""
-    from ..cluster.scheduler import ColocatedPool
-
-    if isinstance(deployment, ColocatedPool):
-        return deployment.n_instances, deployment.n_instances
-    return deployment.n_prefill, deployment.n_decode
+    """(prefill, decode) instance counts: the first and last pool-table rows,
+    as in the report's utilizations (a colocated pool counts for both)."""
+    table = deployment.pool_table()
+    return table[0].n_instances, table[-1].n_instances
 
 
 def _shard_scripted_failures(
@@ -153,16 +151,12 @@ def _shard_scripted_failures(
     that instance — a parity prerequisite: ``shards=N`` must hit the same
     hardware at the same times as ``shards=1``.
     """
-    from ..cluster.scheduler import ColocatedPool
 
     def split(count: int) -> List[int]:
         base, rem = divmod(count, n_shards)
         return [base + (1 if i < rem else 0) for i in range(n_shards)]
 
-    if isinstance(deployment, ColocatedPool):
-        sizes = {"colocated": split(deployment.n_instances)}
-    else:
-        sizes = {"prefill": split(deployment.n_prefill), "decode": split(deployment.n_decode)}
+    sizes = {row.name: split(row.n_instances) for row in deployment.pool_table()}
     out: List[List[Tuple[float, str, int, float]]] = [[] for _ in range(n_shards)]
     for time, pool, index, duration in failures:
         if pool not in sizes:
@@ -189,13 +183,9 @@ def _run_shard(
     failures: Sequence[Tuple[float, str, int, float]] = (),
 ) -> Dict[str, Any]:
     """Simulate one shard; module-level so worker processes can pickle it."""
-    from ..cluster.scheduler import ColocatedPool
-    from ..cluster.simulator import ColocatedSimulator, ServingSimulator
+    from ..cluster.simulator import simulator_for
 
-    sim_cls = (
-        ColocatedSimulator if isinstance(deployment, ColocatedPool) else ServingSimulator
-    )
-    sim = sim_cls(
+    sim = simulator_for(deployment)(
         deployment,
         config,
         policies=policies,

@@ -33,7 +33,7 @@ from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
 from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
 from repro.errors import SpecError
 from repro.hardware.gpu import H100
-from repro.network.topology import DirectConnectTopology
+from repro.network.topology import DirectConnectTopology, SwitchedTopology
 from repro.workloads.models import LLAMA3_8B
 from repro.workloads.traces import TraceConfig, generate_piecewise_trace, generate_trace
 
@@ -336,6 +336,16 @@ class TestLifecycleSemantics:
         # 8 GPUs total, 2 used initially: at most 6 spawns ever.
         assert report.spawned_instances <= 6
         assert report.completed == len(t)
+
+    @pytest.mark.parametrize("controller", [None, "reactive"])
+    def test_too_small_topology_fails_up_front(self, controller):
+        """Growth room never shrinks a pool: 2+4 TP1 on 5 GPUs is a SpecError."""
+        ctrl = ReactiveController(max_instances=8) if controller else None
+        with pytest.raises(SpecError, match="placement needs 6 GPUs but the topology has 5"):
+            ServingSimulator(
+                pools(n_prefill=2, n_decode=4), CONFIG, controller=ctrl,
+                topology=SwitchedTopology(n_gpus=5), network_model="fabric",
+            )
 
     def test_economics_config_is_respected(self):
         from repro.hardware.tco import TCOAssumptions

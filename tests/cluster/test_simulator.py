@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.scheduler import InstanceSpec, PhasePools
-from repro.cluster.simulator import ServingSimulator, SimConfig
+from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
+from repro.cluster.simulator import ServingSimulator, SimConfig, simulator_for
 from repro.errors import SpecError
 from repro.hardware.gpu import H100, LITE, LITE_MEMBW, LITE_NETBW_FLOPS
 from repro.workloads.models import LLAMA3_8B, LLAMA3_70B
@@ -23,6 +23,10 @@ def pools(n_prefill=1, n_decode=1, **kw) -> PhasePools:
     )
     base.update(kw)
     return PhasePools(**base)
+
+
+def colocated(n_instances=1) -> ColocatedPool:
+    return ColocatedPool(InstanceSpec(LLAMA3_8B, H100, 1), n_instances, max_decode_batch=64)
 
 
 def trace(rate=5.0, duration=10.0, seed=0, output_tokens=50):
@@ -282,18 +286,32 @@ class TestConservation:
 
 
 class TestEmptyReport:
-    def test_zero_completions_report_nan_not_zero(self):
+    @pytest.mark.parametrize("metrics", ["exact", "streaming"])
+    @pytest.mark.parametrize("shape", ["phase-split", "colocated"])
+    def test_zero_completions_read_nan(self, shape, metrics):
         """Percentiles of an empty run must read NaN, not perfect 0.0 ms."""
         import math
 
         t = [Request(request_id=0, arrival=5.0, prompt_tokens=100, output_tokens=10)]
-        report = ServingSimulator(pools(), SimConfig(max_sim_time=1.0)).run(t)
+        deployment = pools() if shape == "phase-split" else colocated()
+        config = SimConfig(max_sim_time=1.0, metrics=metrics)
+        report = simulator_for(deployment)(deployment, config).run(t)
         assert report.completed == 0 and report.dropped == 1
         for value in (report.ttft_p50, report.ttft_p99, report.tbt_mean,
                       report.tbt_p99, report.e2e_p50, report.e2e_p99):
             assert math.isnan(value)
         assert report.output_tokens_per_s == 0.0
         assert "completed 0" in report.describe()
+
+
+class TestSimulatorFor:
+    def test_rejects_anything_but_a_deployment(self):
+        from repro.exec.ensemble import run_replica
+
+        with pytest.raises(SpecError, match="PhasePools or ColocatedPool"):
+            simulator_for(InstanceSpec(LLAMA3_8B, H100, 1))
+        with pytest.raises(SpecError, match="PhasePools or ColocatedPool"):
+            run_replica("deployment", None, None, None, 0, ())
 
 
 class TestPolicyBundles:
