@@ -5,16 +5,19 @@ hardcoded FCFS decisions.  This module is the refactored engine room:
 
 - :class:`EventQueue` — a time-ordered heap with FIFO tie-breaking, so
   same-timestamp events replay in push order (determinism);
-- instance state machines (:class:`PrefillState`, :class:`DecodeState`,
-  :class:`ColocatedState`) — plain data advanced by the engines;
+- instance state machines (:class:`PrefillState` for a pool without KV
+  state, :class:`DecodeState` for the KV pool: its decode batch plus, on a
+  chunked pool, the prompts still being prefilled) — plain data advanced
+  by the engines;
 - :class:`ServiceTimeProvider` — a memoizing oracle over the analytical
   roofline model.  Every decode iteration used to re-run the full model;
   caching on ``(batch, context-bucket)`` keys removes that from the hot
   path (``context_bucket=1`` keeps results bit-exact, coarser buckets trade
   ≤ one bucket of context for large wall-clock wins);
 - :class:`PhaseSplitEngine` and :class:`ColocatedEngine` — the two
-  deployment shapes, both driven by a :class:`repro.cluster.policies`
-  bundle instead of baked-in scheduling.
+  deployment shapes over one KV-pool path (admission and iteration), both
+  driven by a :class:`repro.cluster.policies` bundle instead of baked-in
+  scheduling.
 
 With the default ``"fcfs"`` bundle and ``context_bucket=1``,
 :class:`PhaseSplitEngine` reproduces the seed simulator event-for-event
@@ -59,7 +62,6 @@ __all__ = [
     "PrefillState",
     "DecodeState",
     "PartialPrefill",
-    "ColocatedState",
     "CompletedRequest",
     "PhaseSplitEngine",
     "ColocatedEngine",
@@ -444,13 +446,25 @@ class PrefillState:
 
 
 @dataclass
-class DecodeState:
-    """One decode instance running continuous batching.
+class PartialPrefill:
+    """A prompt being chunked through a colocated instance."""
 
-    ``occupied`` (final KV footprints of resident sequences) and
-    ``context_sum`` (sum of their current context lengths) are maintained
-    incrementally by the engine — integer arithmetic, so they are exactly
-    the sums the seed recomputed by scanning ``active`` on every event.
+    request: Request
+    remaining: int
+
+
+@dataclass
+class DecodeState:
+    """One KV-pool instance running continuous batching.
+
+    ``active`` is the decode batch.  On a chunked (colocated) pool an
+    admitted prompt waits in ``backlog``, then is prefilled chunk by chunk
+    as ``current`` before it joins ``active``; a phase-split decode pool
+    admits prefilled prompts, so both stay empty there.  ``occupied``
+    (final KV footprints of every committed sequence) and ``context_sum``
+    (sum of the decode batch's context lengths) are maintained
+    incrementally — integer arithmetic, so they are exactly the sums the
+    seed recomputed by scanning on every event.
 
     The fast engine adds the shared-iteration structures: ``iter_log`` is
     the latency of every iteration this instance ran (pruned below the
@@ -459,10 +473,14 @@ class DecodeState:
     a future iteration count to the sequences completing exactly there —
     a sequence admitted at count ``c`` with ``n`` output tokens finishes
     when the count reaches ``c + n``, so the per-tick completion scan is
-    one dict pop instead of a walk over the whole batch.
+    one dict pop instead of a walk over the whole batch.  Chunk-only
+    iterations (empty decode batch) are logged too, so a joining
+    sequence's ``start_iter`` always indexes the log consistently.
     """
 
     active: List[ActiveSequence] = field(default_factory=list)
+    backlog: Deque[PartialPrefill] = field(default_factory=deque)
+    current: Optional[PartialPrefill] = None
     busy_until: float = 0.0
     running: bool = False
     down_until: float = 0.0
@@ -480,63 +498,13 @@ class DecodeState:
     iter_count: int = 0
     due: Dict[int, List[ActiveSequence]] = field(default_factory=dict)
 
-    def occupied_tokens(self) -> int:
-        return self.occupied
-
-    def scan_occupied_tokens(self) -> int:
-        """Recount by scanning (the seed's per-event path; benchmark baseline)."""
-        return sum(s.request.total_tokens for s in self.active)
-
-    def has_work(self) -> bool:
-        return bool(self.active)
-
-    def evict(self) -> Tuple[List[Tuple[Request, int]], List[Request]]:
-        """Drop all resident work: a failure wiped the instance's KV state.
-
-        Returns ``(lost, backlog)``: ``(request, generated tokens)`` for every
-        sequence whose KV state (or partial prefill) is lost, and the
-        admitted requests that had not started, which lose nothing.
-        """
-        lost = [(seq.request, seq.generated) for seq in self.active]
-        self.running = False
-        self.active.clear()
-        self.due.clear()
-        self.iter_log.clear()
-        self.log_base = self.iter_count
-        self.occupied = 0
-        self.context_sum = 0
-        return lost, []
-
-
-@dataclass
-class PartialPrefill:
-    """A prompt being chunked through a colocated instance."""
-
-    request: Request
-    remaining: int
-
-
-@dataclass
-class ColocatedState(DecodeState):
-    """One colocated instance: decode batch + in-progress chunked prefill.
-
-    ``occupied`` covers every committed sequence (decoding, chunking, or
-    waiting to chunk); ``context_sum`` covers only the decoding batch.
-    The shared-iteration structures are those of :class:`DecodeState`;
-    chunk-only iterations (empty decode batch) are logged too, so a joining
-    sequence's ``start_iter`` always indexes the log consistently.
-    """
-
-    backlog: Deque[PartialPrefill] = field(default_factory=deque)
-    current: Optional[PartialPrefill] = None
-
     def committed(self) -> int:
         """Sequences holding a slot (decoding, chunking, or waiting to chunk)."""
         return len(self.active) + len(self.backlog) + (1 if self.current else 0)
 
     def scan_occupied_tokens(self) -> int:
         """Recount by scanning (the seed's per-event path; benchmark baseline)."""
-        tokens = super().scan_occupied_tokens()
+        tokens = sum(s.request.total_tokens for s in self.active)
         tokens += sum(p.request.total_tokens for p in self.backlog)
         if self.current is not None:
             tokens += self.current.request.total_tokens
@@ -546,13 +514,30 @@ class ColocatedState(DecodeState):
         return bool(self.active or self.backlog or self.current)
 
     def evict(self) -> Tuple[List[Tuple[Request, int]], List[Request]]:
-        # A partially chunked prompt has generated nothing: it restarts as-is.
-        lost, _ = super().evict()
+        """Drop all resident work: a failure wiped the instance's KV state.
+
+        Returns ``(lost, backlog)``: ``(request, generated tokens)`` for every
+        sequence whose KV state (or partial prefill) is lost — a partially
+        chunked prompt has generated nothing and restarts as-is — and the
+        admitted requests that had not started, which lose nothing.
+
+        ``running`` is left alone: an iteration or admit event of this
+        instance may still be in the heap, and it clears the flag when it
+        fires.  Clearing it here would let a recovery that ends before that
+        event start a second iteration chain on the same instance.
+        """
+        lost = [(seq.request, seq.generated) for seq in self.active]
         if self.current is not None:
             lost.append((self.current.request, 0))
         backlog = [partial.request for partial in self.backlog]
+        self.active.clear()
         self.backlog.clear()
         self.current = None
+        self.due.clear()
+        self.iter_log.clear()
+        self.log_base = self.iter_count
+        self.occupied = 0
+        self.context_sum = 0
         return lost, backlog
 
 
@@ -607,13 +592,15 @@ class _EngineBase:
 
     The deployment's :meth:`pool_table` names its pools; the first pool is
     the front door (arrivals, retries and failure victims queue there) and
-    exactly one pool holds KV state.  The base owns one state list and one
-    queue per pool (``pool_states``/``queues``) and everything that reads
-    them generically: arrivals, failures (a KV-pool failure evicts and
-    requeues its residents), recovery, the KV pool's admit event, sequence
-    completion, and the control plane.  Subclasses add the shape's own
-    dispatch and per-iteration handlers: ``_admit_kv`` offers queued work
-    to the KV pool, ``_dispatch_prefill`` to a pool without KV state.
+    exactly one pool holds KV state.  The base owns one state list, one
+    queue and one routing copy per pool (``pool_states``/``queues``/
+    ``routing``) and everything that reads them generically: arrivals,
+    failures (a KV-pool failure evicts and requeues its residents),
+    recovery, sequence completion, the control plane, and the one KV-pool
+    path — admission (``_admit_kv``), iteration (``_on_iter``) and the
+    tick after it (``_on_admit``), whose only branch is ``chunk_tokens``.
+    Subclasses name their event kinds and dispatch the pools without KV
+    state (``_dispatch_prefill``).
 
     The loop owns the **control plane**: when a
     :class:`~repro.cluster.control.ClusterController` with a positive
@@ -625,10 +612,11 @@ class _EngineBase:
     event stream bit-identical to the pre-control-plane engine.
     """
 
-    #: Instance-state class of each pool, by pool name.
-    _STATES: Dict[str, type] = {}
-    #: Event kind of one KV-pool iteration.
+    #: Event kinds of one KV-pool iteration and of the tick after it.
     _ITER_KIND = ""
+    _ADMIT_KIND = ""
+    #: Prompt tokens a KV-pool iteration prefills; 0 = prompts arrive prefilled.
+    chunk_tokens = 0
 
     def __init__(
         self,
@@ -709,20 +697,32 @@ class _EngineBase:
         self.providers = tuple(providers)
         self.failures = sorted(failures)
         self.pool_table = deployment.pool_table()
-        (kv_row,) = [row for row in self.pool_table if row.holds_kv]
+        (kv_index,) = [i for i, row in enumerate(self.pool_table) if row.holds_kv]
+        kv_row = self.pool_table[kv_index]
         self.kv_pool = kv_row.name
         self.kv_capacity = require_kv_headroom(kv_row.spec, kv_row.name)
+        self.kv_provider = self.providers[kv_index]
+        self.max_decode_batch = deployment.max_decode_batch
+        self._state_cls = {
+            row.name: DecodeState if row.holds_kv else PrefillState for row in self.pool_table
+        }
         self.pool_states = {
-            row.name: [self._STATES[row.name]() for _ in range(row.n_instances)]
+            row.name: [self._state_cls[row.name]() for _ in range(row.n_instances)]
             for row in self.pool_table
         }
         self.queues: Dict[str, Deque[Request]] = {row.name: deque() for row in self.pool_table}
+        # Each pool gets its own routing instance so stateful policies
+        # (round-robin) rotate per pool instead of interleaving pools
+        # through one shared counter, and a caller-held bundle is never
+        # mutated across runs.
+        self.routing = {row.name: copy.copy(policies.routing) for row in self.pool_table}
         self.front = self.pool_table[0].name
         self.front_queue = self.queues[self.front]
+        self.kv_queue = self.queues[self.kv_pool]
         self.kv_states = self.pool_states[self.kv_pool]
 
     def handlers(self):
-        """Event kind -> handler; subclasses add their per-iteration kinds."""
+        """Event kind -> handler; subclasses add their own dispatch kinds."""
         return {
             "arrival": self._on_arrival,
             "retry": self._on_retry,
@@ -730,6 +730,8 @@ class _EngineBase:
             "recovered": self._on_recovered,
             "controller": self._on_controller_event,
             "spawn_ready": self._on_spawn_ready,
+            self._ITER_KIND: self._on_iter,
+            self._ADMIT_KIND: self._on_admit,
         }
 
     def _record_ttft(self, request: Request, time: float) -> None:
@@ -848,6 +850,121 @@ class _EngineBase:
             self._admit_kv(now)
         else:
             self._dispatch_prefill(now)
+
+    # --- the KV pool ---------------------------------------------------------
+
+    def _admit_kv(self, time: float) -> None:
+        """Offer the KV queue to the KV pool's available instances."""
+        queue = self.kv_queue
+        if self.resilience is not None:
+            self.resilience.sweep_queue(queue, time)
+        if not queue:
+            return
+        states = self.kv_states
+        # Loads double as each instance's KV budget: admissions to one
+        # instance never change another's occupancy, so a single per-round
+        # read feeds both the routing order and the budgets.
+        if self.fast:
+            loads = [s.occupied for s in states]
+        else:
+            loads = [s.scan_occupied_tokens() for s in states]
+        for idx in self.routing[self.kv_pool].order(loads):
+            inst = states[idx]
+            if not _available(inst, time) or not queue:
+                continue
+            slots = self.max_decode_batch - inst.committed()
+            budget = self.kv_capacity - loads[idx]
+            for request in self.policies.admission.select(queue, slots, budget):
+                inst.occupied += request.total_tokens
+                if self.chunk_tokens:
+                    inst.backlog.append(PartialPrefill(request, request.prompt_tokens))
+                else:
+                    self._join(inst, ActiveSequence(request=request, ttft_done=time))
+            if inst.has_work() and not inst.running:
+                inst.running = True
+                self.events.push(max(time, inst.busy_until), self._ITER_KIND, (idx,))
+
+    def _join(self, inst: DecodeState, seq: ActiveSequence) -> None:
+        """Add a prefilled sequence to an instance's decode batch."""
+        inst.active.append(seq)
+        inst.context_sum += seq.request.prompt_tokens
+        if self.fast:
+            _register_due(inst, seq)
+
+    def _on_iter(self, now: float, payload: tuple) -> None:
+        """One KV-pool iteration: every resident sequence gains a token.
+
+        A chunked pool also prefills up to ``chunk_tokens`` of its oldest
+        admitted prompt in the same pass (priced by ``mixed_time``); when a
+        prompt's last chunk lands, its first token is out (TTFT) and it
+        joins the decode batch.  An unchunked pool prices a plain decode
+        step.  ``chunk_tokens`` is tested once, here at the top: the
+        phase-split decode tick is the simulator's hot path.
+        """
+        (idx,) = payload
+        inst = self.kv_states[idx]
+        if now < inst.down_until:
+            inst.running = False
+            return
+        batch = len(inst.active)
+        if self.fast:
+            # Bit-identical to the np.mean below: the counter is the same
+            # integer sum, divided in float64 either way.
+            context = int(inst.context_sum / batch) if batch else 1
+        else:
+            context = int(np.mean([s.context_len for s in inst.active])) if batch else 1
+        current = None
+        if self.chunk_tokens:
+            current = inst.current
+            if current is None and inst.backlog:
+                current = inst.current = inst.backlog.popleft()
+            chunk = min(self.chunk_tokens, current.remaining) if current else 0
+            if not (batch or chunk):
+                inst.running = False
+                return
+            prompt_len = current.request.prompt_tokens if current else 1
+            latency = self.kv_provider.mixed_time(
+                batch, max(1, context), chunk, prompt_len, instance=idx
+            )
+        elif batch:
+            latency = self.kv_provider.decode_time(batch, max(1, context), instance=idx)
+        else:
+            inst.running = False
+            return
+        latency = max(latency, self.config.min_decode_interval)
+        inst.busy_time += latency
+        inst.energy_busy += latency * self._busy_power_ratio
+        finish = now + latency
+        inst.busy_until = finish
+        if self.fast:
+            # One shared log append instead of per-sequence latency appends
+            # (``generated`` stays live for inspectors).  A joiner below gets
+            # ``start_iter = iter_count`` *after* the increment, so its first
+            # logged tick is the next one — when the legacy path first
+            # appends to it.
+            for seq in inst.active:
+                seq.generated += 1
+            inst.iter_log.append(latency)
+            inst.iter_count += 1
+        else:
+            for seq in inst.active:
+                seq.generated += 1
+                seq.iteration_times.append(latency)
+        inst.context_sum += batch  # every decoding context grew by one token
+        if current is not None:
+            current.remaining -= chunk
+            if current.remaining <= 0:
+                self._record_ttft(current.request, finish)
+                self._join(inst, ActiveSequence(request=current.request, ttft_done=finish))
+                inst.current = None
+        if self.fast:
+            # Pop exactly the sequences completing at this iteration count.
+            done = inst.due.pop(inst.iter_count, None)
+            if done:
+                self._complete_due(inst, done, finish)
+        else:
+            self._complete_scanned(inst, finish)
+        self.events.push(finish, self._ADMIT_KIND, (idx,))
 
     def _on_admit(self, now: float, payload: tuple) -> None:
         """A KV-pool iteration finished: admit queued work, keep the batch going."""
@@ -1037,7 +1154,7 @@ class _EngineBase:
         if sum(1 for s in states if not s.retired) >= self.controller.max_instances:
             return False
         warm = now + max(0.0, self.controller.warmup_s)
-        states.append(self._STATES[pool](spawned_at=now, up_from=warm))
+        states.append(self._state_cls[pool](spawned_at=now, up_from=warm))
         self.spawned += 1
         self.events.push(warm, "spawn_ready", (pool,))
         return True
@@ -1117,9 +1234,6 @@ class _EngineBase:
 
     # Subclass hooks ---------------------------------------------------------
 
-    def _admit_kv(self, time: float) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _dispatch_prefill(self, time: float) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -1133,8 +1247,8 @@ class PhaseSplitEngine(_EngineBase):
     KV budget, and back-of-queue requeue when a failure drops KV state.
     """
 
-    _STATES = {"prefill": PrefillState, "decode": DecodeState}
     _ITER_KIND = "decode_iter"
+    _ADMIT_KIND = "decode_admit"
 
     def __init__(
         self,
@@ -1154,38 +1268,22 @@ class PhaseSplitEngine(_EngineBase):
         )
         self.pools = pools
         self.prefill_provider = prefill_provider
-        self.decode_provider = decode_provider
-        self.prefill_queue = self.front_queue
-        self.decode_queue = self.queues["decode"]
-        self.prefill_states = self.pool_states["prefill"]
-        self.decode_states = self.kv_states
-        # Each pool gets its own routing instance so stateful policies
-        # (round-robin) rotate per pool instead of interleaving both pools
-        # through one shared counter.
-        self.prefill_routing = copy.copy(policies.routing)
-        self.decode_routing = copy.copy(policies.routing)
 
     def handlers(self):
-        return {
-            **super().handlers(),
-            "prefill_done": self._on_prefill_done,
-            "decode_iter": self._on_decode_iter,
-            "decode_admit": self._on_decode_admit,
-        }
-
-    # --- dispatch ----------------------------------------------------------
+        return {**super().handlers(), "prefill_done": self._on_prefill_done}
 
     def _dispatch_prefill(self, time: float) -> None:
+        queue = self.front_queue
         if self.resilience is not None:
-            self.resilience.sweep_queue(self.prefill_queue, time)
-        if not self.prefill_queue:
+            self.resilience.sweep_queue(queue, time)
+        if not queue:
             return
-        order = self.prefill_routing.order([s.busy_time for s in self.prefill_states])
-        for idx in order:
-            inst = self.prefill_states[idx]
-            if inst.busy or not _available(inst, time) or not self.prefill_queue:
+        states = self.pool_states[self.front]
+        for idx in self.routing[self.front].order([s.busy_time for s in states]):
+            inst = states[idx]
+            if inst.busy or not _available(inst, time) or not queue:
                 continue
-            batch = self.policies.prefill.select(self.prefill_queue, self.pools.max_prefill_batch)
+            batch = self.policies.prefill.select(queue, self.pools.max_prefill_batch)
             if not batch:
                 continue
             prompt = max(r.prompt_tokens for r in batch)
@@ -1195,97 +1293,17 @@ class PhaseSplitEngine(_EngineBase):
             inst.energy_busy += latency * self._busy_power_ratio
             self.events.push(time + latency, "prefill_done", (idx, tuple(batch)))
 
-    def _admit_kv(self, time: float) -> None:
-        if self.resilience is not None:
-            self.resilience.sweep_queue(self.decode_queue, time)
-        if not self.decode_queue:
-            return
-        # Loads double as each instance's KV budget: admissions to one
-        # instance never change another's occupancy, so a single per-round
-        # read feeds both the routing order and the budgets.
-        if self.fast:
-            loads = [s.occupied_tokens() for s in self.decode_states]
-        else:
-            loads = [s.scan_occupied_tokens() for s in self.decode_states]
-        order = self.decode_routing.order(loads)
-        for idx in order:
-            inst = self.decode_states[idx]
-            if not _available(inst, time) or not self.decode_queue:
-                continue
-            slots = self.pools.max_decode_batch - len(inst.active)
-            budget = self.kv_capacity - loads[idx]
-            for request in self.policies.admission.select(self.decode_queue, slots, budget):
-                seq = ActiveSequence(request=request, ttft_done=time)
-                inst.active.append(seq)
-                inst.occupied += request.total_tokens
-                inst.context_sum += request.prompt_tokens
-                if self.fast:
-                    _register_due(inst, seq)
-            if inst.active and not inst.running:
-                inst.running = True
-                self.events.push(max(time, inst.busy_until), "decode_iter", (idx,))
-
-    # --- handlers ----------------------------------------------------------
-
     def _on_prefill_done(self, now: float, payload: tuple) -> None:
         idx, batch = payload
-        inst = self.prefill_states[idx]
+        inst = self.pool_states[self.front][idx]
         inst.busy = False
         if inst.draining and not inst.retired:
             self._retire_state(inst, now)
         for request in batch:
             self._record_ttft(request, now)
-            self.decode_queue.append(request)
+            self.kv_queue.append(request)
         self._admit_kv(now)
         self._dispatch_prefill(now)
-
-    def _on_decode_iter(self, now: float, payload: tuple) -> None:
-        (idx,) = payload
-        inst = self.decode_states[idx]
-        if now < inst.down_until or not inst.active:
-            inst.running = False
-            return
-        batch = len(inst.active)
-        if self.fast:
-            # Exact replacement for int(np.mean([s.context_len ...])): the
-            # counter is the same integer sum, and float64 division of
-            # exact integers is identical either way — minus the per-event
-            # list build and numpy round-trip.
-            context = int(inst.context_sum / batch)
-        else:
-            context = int(np.mean([s.context_len for s in inst.active]))
-        latency = max(
-            self.decode_provider.decode_time(batch, max(1, context), instance=idx),
-            self.config.min_decode_interval,
-        )
-        inst.busy_time += latency
-        inst.energy_busy += latency * self._busy_power_ratio
-        finish = now + latency
-        inst.busy_until = finish
-        if self.fast:
-            # One shared log append plus a dict pop of exactly the
-            # sequences completing at this iteration count — no
-            # per-sequence latency appends, no batch-wide done scan, no
-            # active-list rebuild on completion-free ticks.  The remaining
-            # per-sequence work is a single integer increment, which keeps
-            # ``generated``/``context_len`` live for inspectors.
-            for seq in inst.active:
-                seq.generated += 1
-            inst.iter_log.append(latency)
-            inst.iter_count += 1
-            inst.context_sum += batch  # every resident context grew by one
-            done = inst.due.pop(inst.iter_count, None)
-            if done:
-                self._complete_due(inst, done, finish)
-        else:
-            for seq in inst.active:
-                seq.generated += 1
-                seq.iteration_times.append(latency)
-            inst.context_sum += batch  # every resident context grew by one token
-            self._complete_scanned(inst, finish)
-        self.events.push(finish, "decode_admit", (idx,))
-
-    _on_decode_admit = _EngineBase._on_admit
 
 
 class ColocatedEngine(_EngineBase):
@@ -1293,14 +1311,14 @@ class ColocatedEngine(_EngineBase):
 
     Each instance runs mixed iterations: the continuous decode batch
     advances one token while up to ``chunk_tokens`` of the oldest admitted
-    prompt are prefetched in the same pass.  When a prompt's last chunk
+    prompt are prefilled in the same pass.  When a prompt's last chunk
     lands, its first token is out (TTFT) and the sequence joins the decode
     batch.  A failure drops the instance's KV state — decoding *and*
     partially prefilled sequences restart from the shared pending queue.
     """
 
-    _STATES = {"colocated": ColocatedState}
     _ITER_KIND = "iter"
+    _ADMIT_KIND = "admit"
 
     def __init__(
         self,
@@ -1317,103 +1335,4 @@ class ColocatedEngine(_EngineBase):
             pool, config, policies, (provider,), failures,
             controller, power_curve, spawn_limits,
         )
-        self.pool = pool
-        self.provider = provider
-        self.pending = self.front_queue
-        self.states = self.kv_states
-        # Private copy so a caller-held bundle's stateful routing (round
-        # robin) is not mutated across runs.
-        self.routing = copy.copy(policies.routing)
-
-    def handlers(self):
-        return {**super().handlers(), "iter": self._on_iter, "admit": self._on_admit}
-
-    # --- dispatch ----------------------------------------------------------
-
-    def _admit_kv(self, time: float) -> None:
-        if self.resilience is not None:
-            self.resilience.sweep_queue(self.pending, time)
-        if not self.pending:
-            return
-        if self.fast:
-            loads = [s.occupied_tokens() for s in self.states]
-        else:
-            loads = [s.scan_occupied_tokens() for s in self.states]
-        order = self.routing.order(loads)
-        for idx in order:
-            inst = self.states[idx]
-            if not _available(inst, time) or not self.pending:
-                continue
-            slots = self.pool.max_decode_batch - inst.committed()
-            budget = self.kv_capacity - loads[idx]
-            for request in self.policies.admission.select(self.pending, slots, budget):
-                inst.backlog.append(PartialPrefill(request, request.prompt_tokens))
-                inst.occupied += request.total_tokens
-            if inst.has_work() and not inst.running:
-                inst.running = True
-                self.events.push(max(time, inst.busy_until), "iter", (idx,))
-
-    def _on_iter(self, now: float, payload: tuple) -> None:
-        (idx,) = payload
-        inst = self.states[idx]
-        if now < inst.down_until:
-            inst.running = False
-            return
-        if inst.current is None and inst.backlog:
-            inst.current = inst.backlog.popleft()
-        chunk = min(self.pool.chunk_tokens, inst.current.remaining) if inst.current else 0
-        batch = len(inst.active)
-        if batch == 0 and chunk == 0:
-            inst.running = False
-            return
-        if self.fast:
-            context = int(inst.context_sum / batch) if batch else 1
-        else:
-            context = int(np.mean([s.context_len for s in inst.active])) if inst.active else 1
-        prompt_len = inst.current.request.prompt_tokens if inst.current else 1
-        latency = max(
-            self.provider.mixed_time(batch, max(1, context), chunk, prompt_len, instance=idx),
-            self.config.min_decode_interval,
-        )
-        inst.busy_time += latency
-        inst.energy_busy += latency * self._busy_power_ratio
-        finish = now + latency
-        inst.busy_until = finish
-        if self.fast:
-            # Chunk-only iterations (batch == 0) are logged too: a joiner
-            # admitted below gets ``start_iter = iter_count`` *after* the
-            # increment, so its first decode tick is the next iteration —
-            # exactly when the legacy path first appends to it.
-            for seq in inst.active:
-                seq.generated += 1
-            inst.iter_log.append(latency)
-            inst.iter_count += 1
-            inst.context_sum += batch
-            if inst.current is not None:
-                inst.current.remaining -= chunk
-                if inst.current.remaining <= 0:
-                    request = inst.current.request
-                    self._record_ttft(request, finish)
-                    seq = ActiveSequence(request=request, ttft_done=finish)
-                    inst.active.append(seq)
-                    _register_due(inst, seq)
-                    inst.context_sum += request.prompt_tokens
-                    inst.current = None
-            done = inst.due.pop(inst.iter_count, None)
-            if done:
-                self._complete_due(inst, done, finish)
-        else:
-            for seq in inst.active:
-                seq.generated += 1
-                seq.iteration_times.append(latency)
-            inst.context_sum += batch  # every decoding context grew by one token
-            if inst.current is not None:
-                inst.current.remaining -= chunk
-                if inst.current.remaining <= 0:
-                    request = inst.current.request
-                    self._record_ttft(request, finish)
-                    inst.active.append(ActiveSequence(request=request, ttft_done=finish))
-                    inst.context_sum += request.prompt_tokens
-                    inst.current = None
-            self._complete_scanned(inst, finish)
-        self.events.push(finish, "admit", (idx,))
+        self.chunk_tokens = pool.chunk_tokens

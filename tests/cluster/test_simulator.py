@@ -36,6 +36,29 @@ def trace(rate=5.0, duration=10.0, seed=0, output_tokens=50):
     )
 
 
+#: The pool holding KV state, by deployment shape.
+KV_POOL = {"phase-split": "decode", "colocated": "colocated"}
+
+
+def bare_engine(shape, config, failures=(), deployment=None):
+    """An engine of either shape, built without a simulator around it.
+
+    The default deployments have two KV-holding instances.
+    """
+    from repro.cluster.engine import ColocatedEngine, PhaseSplitEngine, ServiceTimeProvider
+    from repro.cluster.policies import get_policy_bundle
+
+    bundle = get_policy_bundle("fcfs")
+    if shape == "phase-split":
+        p = deployment or pools(n_decode=2)
+        return PhaseSplitEngine(
+            p, config, bundle, ServiceTimeProvider(p.prefill), ServiceTimeProvider(p.decode),
+            failures=failures,
+        )
+    p = deployment or colocated(n_instances=2)
+    return ColocatedEngine(p, config, bundle, ServiceTimeProvider(p.instance), failures=failures)
+
+
 class TestBasics:
     def test_all_requests_complete_under_light_load(self):
         t = trace(rate=2.0, duration=10.0)
@@ -238,21 +261,36 @@ class TestStochasticFailures:
 
 
 class TestConservation:
-    def test_failure_requeue_conserves_requests(self):
-        """No request is lost or double-completed across failure requeues."""
-        from repro.cluster.engine import PhaseSplitEngine, ServiceTimeProvider
-        from repro.cluster.policies import get_policy_bundle
+    @pytest.mark.parametrize("shape", ["phase-split", "colocated"])
+    def test_failure_requeue_conserves_requests(self, shape):
+        """No request is lost or double-completed across failure requeues.
 
+        Each failure lands a millisecond after an arrival, so a colocated
+        instance holds a prompt mid-chunk (``current``) or waiting to chunk
+        (``backlog``): the partial-prefill eviction path runs too.
+        """
         t = trace(rate=5.0, duration=10.0, seed=7, output_tokens=200)
-        p = pools(n_decode=2)
-        config = SimConfig(max_sim_time=900.0)
-        engine = PhaseSplitEngine(
-            p, config, get_policy_bundle("fcfs"),
-            ServiceTimeProvider(p.prefill), ServiceTimeProvider(p.decode),
-            failures=[(2.0, "decode", 0, 20.0), (4.0, "decode", 1, 20.0)],
+        pool = KV_POOL[shape]
+        engine = bare_engine(
+            shape, SimConfig(max_sim_time=900.0),
+            failures=[(t[10].arrival + 1e-3, pool, 0, 20.0), (t[20].arrival + 1e-3, pool, 1, 20.0)],
         )
+        chunking_at_failure = set()
+        on_failure = engine._on_failure
+
+        def recording(now, payload):
+            inst = engine.kv_states[payload[1]]
+            if inst.current is not None:
+                chunking_at_failure.add("current")
+            if inst.backlog:
+                chunking_at_failure.add("backlog")
+            on_failure(now, payload)
+
+        engine._on_failure = recording
         engine.run(t)
         assert engine.requeued > 0
+        if shape == "colocated":
+            assert chunking_at_failure == {"current", "backlog"}
         completed_ids = [c.request.request_id for c in engine.completed]
         assert len(completed_ids) == len(set(completed_ids)), "double completion"
         assert sorted(completed_ids) == sorted(r.request_id for r in t), "lost requests"
@@ -488,30 +526,75 @@ class TestFastEngine:
         ).run(t)
         assert fast == legacy
 
-    def test_counters_match_scans_through_a_run(self):
-        """The incremental counters equal a full recount at every event."""
-        from repro.cluster.engine import PhaseSplitEngine, ServiceTimeProvider
-        from repro.cluster.policies import get_policy_bundle
-
-        p = pools(n_decode=2)
-        config = SimConfig(max_sim_time=600.0)
-        engine = PhaseSplitEngine(
-            p, config, get_policy_bundle("fcfs"),
-            ServiceTimeProvider(p.prefill), ServiceTimeProvider(p.decode),
-            failures=[(2.0, "decode", 0, 10.0)],
+    @pytest.mark.parametrize("shape", ["phase-split", "colocated"])
+    def test_counters_match_scans_through_a_run(self, shape):
+        """The incremental counters and the shared-iteration structures
+        agree with a full recount at every admit event."""
+        engine = bare_engine(
+            shape, SimConfig(max_sim_time=600.0), failures=[(2.0, KV_POOL[shape], 0, 10.0)]
         )
         checked = 0
-        original = engine._on_decode_admit
+        original = engine._on_admit
 
         def checking(now, payload):
             nonlocal checked
             original(now, payload)
-            for state in engine.decode_states:
+            for state in engine.kv_states:
                 assert state.occupied == state.scan_occupied_tokens()
                 assert state.context_sum == sum(s.context_len for s in state.active)
+                assert len(state.iter_log) == state.iter_count - state.log_base
+                for seq in state.active:
+                    assert seq.generated == state.iter_count - seq.start_iter
+                    assert state.log_base <= seq.start_iter
+                # Every resident sequence sits in exactly one bucket, the
+                # one for its completion count, and nothing else is due.
+                due = [
+                    (count, id(seq)) for count, seqs in state.due.items() for seq in seqs
+                ]
+                resident = [
+                    (seq.start_iter + seq.request.output_tokens, id(seq))
+                    for seq in state.active
+                ]
+                assert sorted(due) == sorted(resident)
             checked += 1
 
-        engine._on_decode_admit = checking
-        engine.handlers = lambda: {**PhaseSplitEngine.handlers(engine), "decode_admit": checking}
+        engine._on_admit = checking
         engine.run(trace(rate=4.0, duration=10.0))
         assert checked > 0
+
+
+class TestShortFailure:
+    """A failure that ends before the instance's in-flight iteration."""
+
+    @pytest.mark.parametrize("shape", ["phase-split", "colocated"])
+    def test_recovery_does_not_double_book_the_instance(self, shape):
+        """The pending iteration event keeps the instance busy: recovery
+        must not start a second iteration chain beside it."""
+        if shape == "phase-split":
+            deployment, fail_at = pools(n_prefill=2, n_decode=1, max_decode_batch=8), 6.5413
+        else:
+            deployment = ColocatedPool(InstanceSpec(LLAMA3_8B, H100, 1), 1, max_decode_batch=8)
+            fail_at = 7.1064
+        t = trace(rate=20.0, duration=10.0, output_tokens=200)
+
+        def run(failures):
+            engine = bare_engine(shape, SimConfig(max_sim_time=3000.0), failures, deployment)
+            kind = engine._ITER_KIND
+            handler = type(engine).handlers(engine)[kind]
+            early_starts = []
+
+            def checking(now, payload):
+                inst = engine.kv_states[payload[0]]
+                previous_end = inst.busy_until
+                handler(now, payload)
+                if inst.busy_until != previous_end and now < previous_end:
+                    early_starts.append(now)
+
+            engine.handlers = lambda: {**type(engine).handlers(engine), kind: checking}
+            engine.run(t)
+            assert not early_starts, f"{len(early_starts)} iterations overlap their predecessor"
+            return engine.output_token_count / engine.work_time
+
+        clean = run(())
+        faulty = run([(fail_at, KV_POOL[shape], 0, 0.000697)])
+        assert faulty <= clean
