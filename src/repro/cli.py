@@ -21,16 +21,19 @@ Usage::
     python -m repro cache stats | clear          # on-disk result cache
 
 All subcommands print plain text and touch neither the network nor disk —
-except ``sweep``, which (unless ``--no-cache``) persists finished points
-under ``--cache-dir`` (default ``.repro_cache/``) so repeat invocations
-skip completed work, and ``cache``, which inspects/clears that directory.
+except ``sweep`` and ``screen``, which (unless ``--no-cache``) persist
+finished points under ``--cache-dir`` (default ``.repro_cache/``) so repeat
+invocations skip completed work, and ``cache``, which inspects/clears that
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .analysis.figures import (
@@ -60,7 +63,7 @@ from .cluster.policies import POLICY_BUNDLES, ROUTING_POLICIES
 from .cluster.resilience import goodput_dip
 from .cluster.power_manager import ClusterPowerManager
 from .cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
-from .cluster.simulator import ServingSimulator, SimConfig, simulator_for
+from .cluster.simulator import SimConfig, simulator_for
 from .cluster.spec import ClusterSpec
 from .analysis.screening import screen_then_simulate
 from .analysis.sweeps import argbest
@@ -188,9 +191,11 @@ def _build_topology(kind: str, n_gpus: int, group: int) -> Optional[Topology]:
 def _check_topology_flags(args: argparse.Namespace) -> None:
     """Reject placement flags that would be silently ignored without a
     topology (``--network-model fabric`` already fails in the simulator)."""
-    if args.topology == "none" and (args.placer != "packed" or args.cluster_gpus):
+    if args.topology == "none" and (
+        args.placer != "packed" or args.cluster_gpus or args.group != 4
+    ):
         raise SimulationError(
-            "--placer/--cluster-gpus have no effect without --topology "
+            "--placer/--cluster-gpus/--group have no effect without --topology "
             "direct|switched|circuit"
         )
 
@@ -222,106 +227,142 @@ def _cmd_topology(args: argparse.Namespace) -> None:
     )
 
 
-def _deployment(
-    shape: str,
-    model_name: str,
-    prefill_gpu: str,
-    decode_gpu: str,
-    gpu: str,
-    gpus_per_instance: int,
-    n_prefill: int,
-    size: int,
-    max_prefill_batch: int,
-    max_decode_batch: int,
-    chunk_tokens: int,
-):
-    """The deployment a simulate/sweep point describes.
+def _trace(args: argparse.Namespace, rate: float) -> TraceConfig:
+    """The trace a simulate/sweep/screen point replays at ``rate``."""
+    return TraceConfig(rate=rate, duration=args.duration,
+                       output_tokens=args.output_tokens, output_spread=args.output_spread)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One CLI run: deployment, simulator knobs, and the trace to replay.
 
     ``size`` is the decode-pool size of a phase-split deployment and the
     instance count of a colocated one; the other shape's knobs are ignored.
+    Frozen and picklable, so one scenario is both a sweep job's argument
+    (``Job(fn=Scenario.run, args=(scenario,))``) and, field by field, its
+    result-cache key: topology, placement and backend choices never alias
+    each other's cached points.
     """
-    model = get_model(model_name)
-    if shape == "phase-split":
-        return PhasePools(
-            prefill=InstanceSpec(model, get_gpu(prefill_gpu), gpus_per_instance),
-            n_prefill=n_prefill,
-            decode=InstanceSpec(model, get_gpu(decode_gpu), gpus_per_instance),
-            n_decode=size,
-            max_prefill_batch=max_prefill_batch,
-            max_decode_batch=max_decode_batch,
+
+    shape: str
+    model: str
+    prefill_gpu: str
+    decode_gpu: str
+    gpu: str
+    gpus_per_instance: int
+    n_prefill: int
+    size: int
+    max_prefill_batch: int
+    max_decode_batch: int
+    chunk_tokens: int
+    policy: str
+    max_sim_time: float
+    trace: TraceConfig
+    seed: int
+    context_bucket: int = 1
+    metrics: str = "exact"
+    backend: str = "event"
+    topology: str = "none"
+    cluster_gpus: int = 0
+    group: int = 4
+    placer: str = "packed"
+    network_model: str = "none"
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace, **fields) -> "Scenario":
+        """Every field the parsed namespace has, overridden by ``fields``."""
+        known = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                 if hasattr(args, f.name)}
+        return cls(**{**known, **fields})
+
+    def deployment(self):
+        """The :class:`PhasePools` or :class:`ColocatedPool` this run serves."""
+        model = get_model(self.model)
+        if self.shape == "phase-split":
+            return PhasePools(
+                prefill=InstanceSpec(model, get_gpu(self.prefill_gpu), self.gpus_per_instance),
+                n_prefill=self.n_prefill,
+                decode=InstanceSpec(model, get_gpu(self.decode_gpu), self.gpus_per_instance),
+                n_decode=self.size,
+                max_prefill_batch=self.max_prefill_batch,
+                max_decode_batch=self.max_decode_batch,
+            )
+        return ColocatedPool(
+            instance=InstanceSpec(model, get_gpu(self.gpu), self.gpus_per_instance),
+            n_instances=self.size,
+            max_decode_batch=self.max_decode_batch,
+            chunk_tokens=self.chunk_tokens,
         )
-    return ColocatedPool(
-        instance=InstanceSpec(model, get_gpu(gpu), gpus_per_instance),
-        n_instances=size,
-        max_decode_batch=max_decode_batch,
-        chunk_tokens=chunk_tokens,
-    )
+
+    def config(self) -> SimConfig:
+        """The :class:`SimConfig` this run uses."""
+        return SimConfig(
+            max_sim_time=self.max_sim_time, context_bucket=self.context_bucket,
+            metrics=self.metrics, backend=self.backend,
+        )
+
+    def simulator(self, **kwargs):
+        """The simulator for this run; ``kwargs`` adds failures or a controller."""
+        deployment = self.deployment()
+        topology = _build_topology(
+            self.topology, self.cluster_gpus or deployment.total_gpus, self.group
+        )
+        return simulator_for(deployment)(
+            deployment, self.config(), policies=self.policy,
+            topology=topology, placer=self.placer, network_model=self.network_model,
+            **kwargs,
+        )
+
+    def run(self):
+        """Regenerate the trace and simulate it.
+
+        The trace regenerates from its config inside the worker —
+        deterministic, and far cheaper to ship than thousands of pickled
+        Request objects.
+        """
+        return self.simulator().run(generate_trace(self.trace, seed=self.seed))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     _check_topology_flags(args)
-    trace = generate_trace(
-        TraceConfig(
-            rate=args.rate,
-            duration=args.duration,
-            output_tokens=args.output_tokens,
-            output_spread=args.output_spread,
-        ),
-        seed=args.seed,
+    scenario = Scenario.from_args(
+        args,
+        size=args.n_decode if args.shape == "phase-split" else args.n_instances,
+        trace=_trace(args, args.rate),
     )
-    if args.backend != "event" and args.shards > 1:
+    trace = generate_trace(scenario.trace, seed=scenario.seed)
+    sharded = args.shards != 1
+    if args.backend != "event" and sharded:
         raise SimulationError("--backend fluid cannot be combined with --shards")
-    config = SimConfig(
-        max_sim_time=args.max_sim_time,
-        context_bucket=args.context_bucket,
-        metrics=args.metrics,
-        backend=args.backend,
-    )
     failure_model = None
     if args.mtbf_hours > 0:
         failure_model = FailureModel(mtbf=args.mtbf_hours * HOUR, mttr=args.mttr_hours * HOUR)
-    deployment = _deployment(
-        args.shape, args.model, args.prefill_gpu, args.decode_gpu, args.gpu,
-        args.gpus_per_instance, args.n_prefill,
-        args.n_decode if args.shape == "phase-split" else args.n_instances,
-        args.max_prefill_batch, args.max_decode_batch, args.chunk_tokens,
-    )
-    description = deployment.describe()
-    if args.shards > 1:
+    deployment = scenario.deployment()
+    if sharded:
         # Sharded execution factors the run into independent sub-engines —
         # whole-cluster co-simulation (a shared fabric) cannot be split.
         if args.topology != "none":
             raise SimulationError("--shards cannot be combined with --topology")
         report = run_sharded(
-            deployment,
-            trace,
-            config,
-            shards=args.shards,
-            policies=args.policy,
-            failure_model=failure_model,
-            failure_seed=args.failure_seed,
-            shard_policy=args.shard_policy,
-            workers=args.workers,
+            deployment, trace, scenario.config(), shards=args.shards, policies=args.policy,
+            failure_model=failure_model, failure_seed=args.failure_seed,
+            shard_policy=args.shard_policy, workers=args.workers,
         )
         topology = None
-        simulator = None
     else:
-        topology = _build_topology(
-            args.topology, args.cluster_gpus or deployment.total_gpus, args.group
+        simulator = scenario.simulator(
+            failure_model=failure_model, failure_seed=args.failure_seed
         )
-        simulator = simulator_for(deployment)(
-            deployment, config,
-            policies=args.policy, failure_model=failure_model, failure_seed=args.failure_seed,
-            topology=topology, placer=args.placer, network_model=args.network_model,
-        )
+        topology = simulator.topology
         report = simulator.run(trace)
     failure_note = (
         f"stochastic failures MTBF {args.mtbf_hours:g}h / MTTR {args.mttr_hours:g}h "
         f"(seed {args.failure_seed})" if failure_model else "no failures"
     )
-    print(f"{description}")
+    print(f"{deployment.describe()}")
     print(f"policy '{args.policy}', trace {len(trace)} requests @ {args.rate:g}/s, {failure_note}")
-    if args.shards > 1:
+    if sharded:
         print(
             f"sharded x{args.shards} ('{args.shard_policy}' shard routing, "
             f"{args.workers} worker(s), streaming metrics)"
@@ -337,96 +378,24 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     print(report.describe())
 
 
-def _sweep_point(
-    shape: str,
-    model_name: str,
-    prefill_gpu: str,
-    decode_gpu: str,
-    gpu: str,
-    gpus_per_instance: int,
-    n_prefill: int,
-    size: int,
-    max_prefill_batch: int,
-    max_decode_batch: int,
-    chunk_tokens: int,
-    policy: str,
-    max_sim_time: float,
-    context_bucket: int,
-    metrics: str,
-    topology_kind: str,
-    cluster_gpus: int,
-    group: int,
-    placer: str,
-    network_model: str,
-    backend: str,
-    trace_config: TraceConfig,
-    trace_seed: int,
-):
-    """Run one sweep point (module-level so worker processes can pickle it).
-
-    The trace regenerates from its config inside the worker — deterministic,
-    and far cheaper to ship than thousands of pickled Request objects.  The
-    topology/placement/backend arguments are part of the point tuple the
-    cache key hashes, so topology sweeps never collide with cached
-    non-network runs and fluid screens never alias event truth.
-    """
-    trace = generate_trace(trace_config, seed=trace_seed)
-    config = SimConfig(
-        max_sim_time=max_sim_time, context_bucket=context_bucket, metrics=metrics,
-        backend=backend,
-    )
-    deployment = _deployment(
-        shape, model_name, prefill_gpu, decode_gpu, gpu, gpus_per_instance, n_prefill,
-        size, max_prefill_batch, max_decode_batch, chunk_tokens,
-    )
-    topology = _build_topology(topology_kind, cluster_gpus or deployment.total_gpus, group)
-    simulator = simulator_for(deployment)(
-        deployment, config, policies=policy,
-        topology=topology, placer=placer, network_model=network_model,
-    )
-    return simulator.run(trace)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> None:
     _check_topology_flags(args)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    trace_configs = {
-        rate: TraceConfig(
-            rate=rate,
-            duration=args.duration,
-            output_tokens=args.output_tokens,
-            output_spread=args.output_spread,
-        )
-        for rate in args.rates
-    }
-    # Fingerprint the actual requests (not just the config) so a change to
-    # trace *generation* invalidates cached points even within one version.
-    fingerprints = {
-        rate: trace_fingerprint(generate_trace(config, seed=args.seed))
-        for rate, config in trace_configs.items()
-    } if cache is not None else {}
     jobs = []
     for rate in args.rates:
+        trace = _trace(args, rate)
+        # Fingerprint the actual requests (not just the config) so a change
+        # to trace *generation* invalidates cached points even within one
+        # version.
+        fingerprint = (
+            trace_fingerprint(generate_trace(trace, seed=args.seed))
+            if cache is not None else None
+        )
         for size in args.sizes:
-            point = (
-                args.shape, args.model, args.prefill_gpu, args.decode_gpu, args.gpu,
-                args.gpus_per_instance, args.n_prefill, size,
-                args.max_prefill_batch, args.max_decode_batch, args.chunk_tokens,
-                args.policy, args.max_sim_time, args.context_bucket, args.metrics,
-                args.topology, args.cluster_gpus, args.group,
-                args.placer, args.network_model, args.backend,
-            )
-            key = None
-            if cache is not None:
-                key = cache.key("cli-sweep", point, fingerprints[rate])
-            jobs.append(
-                Job(
-                    fn=_sweep_point,
-                    args=point + (trace_configs[rate], args.seed),
-                    key=key,
-                    label=f"rate={rate:g} size={size}",
-                )
-            )
+            scenario = Scenario.from_args(args, size=size, trace=trace)
+            key = None if cache is None else cache.key("cli-sweep", scenario, fingerprint)
+            jobs.append(Job(fn=Scenario.run, args=(scenario,), key=key,
+                            label=f"rate={rate:g} size={size}"))
     outcomes = run_many(jobs, workers=args.workers, cache=cache)
     print(
         f"sweep: {args.shape} {args.model}, {len(jobs)} points "
@@ -463,69 +432,23 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         print("cache: disabled")
 
 
-def _screen_point(
-    backend: str,
-    rate: float,
-    size: int,
-    *,
-    shape: str,
-    model_name: str,
-    prefill_gpu: str,
-    decode_gpu: str,
-    gpu: str,
-    gpus_per_instance: int,
-    n_prefill: int,
-    max_prefill_batch: int,
-    max_decode_batch: int,
-    chunk_tokens: int,
-    policy: str,
-    max_sim_time: float,
-    duration: float,
-    output_tokens: int,
-    output_spread: float,
-    trace_seed: int,
-):
+def _screen_point(base: Scenario, backend: str, rate: float, size: int):
     """Evaluate one screen grid point under the given backend.
 
-    Module-level with keyword-bound fixed configuration (via
-    ``functools.partial``) so it pickles to workers and the backend lands
-    in the result-cache key.
+    Module-level with the fixed scenario bound via ``functools.partial``,
+    so it pickles to workers and the backend lands in the result-cache key.
     """
-    trace_config = TraceConfig(
-        rate=rate, duration=duration,
-        output_tokens=output_tokens, output_spread=output_spread,
-    )
-    return _sweep_point(
-        shape, model_name, prefill_gpu, decode_gpu, gpu,
-        gpus_per_instance, n_prefill, size,
-        max_prefill_batch, max_decode_batch, chunk_tokens,
-        policy, max_sim_time, 1, "exact",
-        "none", 0, 4, "packed", "none", backend,
-        trace_config, trace_seed,
-    )
+    return dataclasses.replace(
+        base, backend=backend, size=size, trace=dataclasses.replace(base.trace, rate=rate)
+    ).run()
 
 
 def _cmd_screen(args: argparse.Namespace) -> None:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    fn = functools.partial(
-        _screen_point,
-        shape=args.shape,
-        model_name=args.model,
-        prefill_gpu=args.prefill_gpu,
-        decode_gpu=args.decode_gpu,
-        gpu=args.gpu,
-        gpus_per_instance=args.gpus_per_instance,
-        n_prefill=args.n_prefill,
-        max_prefill_batch=args.max_prefill_batch,
-        max_decode_batch=args.max_decode_batch,
-        chunk_tokens=args.chunk_tokens,
-        policy=args.policy,
-        max_sim_time=args.max_sim_time,
-        duration=args.duration,
-        output_tokens=args.output_tokens,
-        output_spread=args.output_spread,
-        trace_seed=args.seed,
-    )
+    # Placeholder size/rate (each point replaces them), so a point's cache
+    # key does not depend on the rest of the grid.
+    base = Scenario.from_args(args, size=1, trace=_trace(args, 1.0))
+    fn = functools.partial(_screen_point, base)
     points = [{"rate": rate, "size": size} for rate in args.rates for size in args.sizes]
 
     def cost(record):
@@ -595,20 +518,15 @@ def _build_controller(name: str, args: argparse.Namespace, deployment):
 def _cmd_autoscale(args: argparse.Namespace) -> None:
     if len(args.rates) < 2:
         raise SimulationError("--rates needs at least two segments to be bursty")
-    model = get_model(args.model)
     base = TraceConfig(output_tokens=args.output_tokens, output_spread=args.output_spread)
     trace = generate_piecewise_trace(
         [(rate, args.segment) for rate in args.rates], base, seed=args.seed
     )
-    deployment = PhasePools(
-        prefill=InstanceSpec(model, get_gpu(args.prefill_gpu), args.gpus_per_instance),
-        n_prefill=args.n_prefill,
-        decode=InstanceSpec(model, get_gpu(args.decode_gpu), args.gpus_per_instance),
-        n_decode=args.n_decode,
-        max_prefill_batch=args.max_prefill_batch,
-        max_decode_batch=args.max_decode_batch,
+    scenario = Scenario.from_args(
+        args, shape="phase-split", gpu=args.decode_gpu, chunk_tokens=0,
+        size=args.n_decode, trace=base,
     )
-    config = SimConfig(max_sim_time=args.max_sim_time)
+    deployment = scenario.deployment()
     print(
         f"{deployment.describe()}\n"
         f"bursty trace: {len(trace)} requests, rates "
@@ -618,10 +536,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> None:
     records = []
     for name in args.controllers:
         controller = _build_controller(name, args, deployment)
-        simulator = ServingSimulator(
-            deployment, config, policies=args.policy, controller=controller
-        )
-        report = simulator.run(trace)
+        report = scenario.simulator(controller=controller).run(trace)
         label = name
         if report.spawned_instances or report.retired_instances:
             label += f" (+{report.spawned_instances}/-{report.retired_instances})"
@@ -738,6 +653,42 @@ def _cmd_cache(args: argparse.Namespace) -> None:
     )
 
 
+def _add_scenario_args(
+    parser: argparse.ArgumentParser,
+    *,
+    shape: str,
+    model: str,
+    gpu: str,
+    gpus_per_instance: int,
+    max_decode_batch: int,
+    duration: float,
+    output_tokens: int,
+) -> None:
+    """The deployment and trace flags of a :class:`Scenario` (simulate,
+    sweep and screen); each command passes its own defaults."""
+    parser.add_argument("--shape", choices=("phase-split", "colocated"), default=shape)
+    parser.add_argument("--model", default=model)
+    parser.add_argument("--prefill-gpu", default="Lite+NetBW+FLOPS",
+                        help="prefill pool GPU (phase-split)")
+    parser.add_argument("--decode-gpu", default="Lite+MemBW",
+                        help="decode pool GPU (phase-split)")
+    parser.add_argument("--gpu", default=gpu, help="pool GPU (colocated)")
+    parser.add_argument("--gpus-per-instance", type=int, default=gpus_per_instance)
+    parser.add_argument("--n-prefill", type=int, default=2,
+                        help="prefill pool size (phase-split)")
+    parser.add_argument("--max-prefill-batch", type=int, default=4)
+    parser.add_argument("--max-decode-batch", type=int, default=max_decode_batch)
+    parser.add_argument("--chunk-tokens", type=int, default=512,
+                        help="prefill chunk per mixed iteration (colocated)")
+    parser.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names(),
+                        help="scheduling policy bundle")
+    parser.add_argument("--duration", type=float, default=duration, help="trace length (s)")
+    parser.add_argument("--output-tokens", type=int, default=output_tokens)
+    parser.add_argument("--output-spread", type=float, default=0.5)
+    parser.add_argument("--seed", type=int, default=0, help="trace RNG seed")
+    parser.add_argument("--max-sim-time", type=float, default=600.0)
+
+
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     """The shared topology co-simulation flags (simulate + sweep)."""
     parser.add_argument("--topology", default="none",
@@ -779,30 +730,14 @@ def build_parser() -> argparse.ArgumentParser:
     tco.set_defaults(fn=_cmd_tco)
 
     simulate = sub.add_parser("simulate", help="run the discrete-event serving simulator")
-    simulate.add_argument("--shape", choices=("phase-split", "colocated"), default="phase-split")
-    simulate.add_argument("--model", default="Llama3-70B")
-    simulate.add_argument("--prefill-gpu", default="Lite+NetBW+FLOPS",
-                          help="prefill pool GPU (phase-split)")
-    simulate.add_argument("--decode-gpu", default="Lite+MemBW",
-                          help="decode pool GPU (phase-split)")
-    simulate.add_argument("--gpu", default="Lite+MemBW", help="pool GPU (colocated)")
-    simulate.add_argument("--gpus-per-instance", type=int, default=8)
-    simulate.add_argument("--n-prefill", type=int, default=2)
+    _add_scenario_args(
+        simulate, shape="phase-split", model="Llama3-70B", gpu="Lite+MemBW",
+        gpus_per_instance=8, max_decode_batch=256, duration=40.0, output_tokens=150,
+    )
     simulate.add_argument("--n-decode", type=int, default=2)
     simulate.add_argument("--n-instances", type=int, default=4,
                           help="pool size (colocated)")
-    simulate.add_argument("--max-prefill-batch", type=int, default=4)
-    simulate.add_argument("--max-decode-batch", type=int, default=256)
-    simulate.add_argument("--chunk-tokens", type=int, default=512,
-                          help="prefill chunk per mixed iteration (colocated)")
-    simulate.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names(),
-                          help="scheduling policy bundle")
     simulate.add_argument("--rate", type=float, default=6.0, help="arrival rate (req/s)")
-    simulate.add_argument("--duration", type=float, default=40.0, help="trace length (s)")
-    simulate.add_argument("--output-tokens", type=int, default=150)
-    simulate.add_argument("--output-spread", type=float, default=0.5)
-    simulate.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    simulate.add_argument("--max-sim-time", type=float, default=600.0)
     simulate.add_argument("--context-bucket", type=int, default=1,
                           help="service-time cache granularity (1 = exact)")
     simulate.add_argument("--backend", default="event", choices=("event", "fluid"),
@@ -839,28 +774,15 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="sweep a simulation grid in parallel with on-disk result caching",
     )
-    sweep.add_argument("--shape", choices=("phase-split", "colocated"), default="colocated")
-    sweep.add_argument("--model", default="Llama3-8B")
-    sweep.add_argument("--prefill-gpu", default="Lite+NetBW+FLOPS")
-    sweep.add_argument("--decode-gpu", default="Lite+MemBW")
-    sweep.add_argument("--gpu", default="H100", help="pool GPU (colocated)")
-    sweep.add_argument("--gpus-per-instance", type=int, default=1)
-    sweep.add_argument("--n-prefill", type=int, default=2,
-                       help="prefill pool size (phase-split; fixed across the grid)")
+    _add_scenario_args(
+        sweep, shape="colocated", model="Llama3-8B", gpu="H100",
+        gpus_per_instance=1, max_decode_batch=64, duration=20.0, output_tokens=100,
+    )
     sweep.add_argument("--rates", type=_csv_floats, default=[2.0, 4.0],
                        help="comma-separated arrival rates (req/s), one grid axis")
     sweep.add_argument("--sizes", type=_csv_ints, default=[1, 2],
                        help="comma-separated pool sizes (decode/colocated instances), "
                             "the other grid axis")
-    sweep.add_argument("--max-prefill-batch", type=int, default=4)
-    sweep.add_argument("--max-decode-batch", type=int, default=64)
-    sweep.add_argument("--chunk-tokens", type=int, default=512)
-    sweep.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names())
-    sweep.add_argument("--duration", type=float, default=20.0, help="trace length (s)")
-    sweep.add_argument("--output-tokens", type=int, default=100)
-    sweep.add_argument("--output-spread", type=float, default=0.5)
-    sweep.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    sweep.add_argument("--max-sim-time", type=float, default=600.0)
     sweep.add_argument("--context-bucket", type=int, default=1)
     sweep.add_argument("--metrics", default="exact", choices=("exact", "streaming"),
                        help="exact per-request metrics, or constant-memory sketches")
@@ -880,27 +802,14 @@ def build_parser() -> argparse.ArgumentParser:
         "screen",
         help="two-tier sweep: fluid-screen the grid, event-simulate survivors",
     )
-    screen.add_argument("--shape", choices=("phase-split", "colocated"), default="colocated")
-    screen.add_argument("--model", default="Llama3-8B")
-    screen.add_argument("--prefill-gpu", default="Lite+NetBW+FLOPS")
-    screen.add_argument("--decode-gpu", default="Lite+MemBW")
-    screen.add_argument("--gpu", default="H100", help="pool GPU (colocated)")
-    screen.add_argument("--gpus-per-instance", type=int, default=1)
-    screen.add_argument("--n-prefill", type=int, default=2,
-                        help="prefill pool size (phase-split; fixed across the grid)")
+    _add_scenario_args(
+        screen, shape="colocated", model="Llama3-8B", gpu="H100",
+        gpus_per_instance=1, max_decode_batch=64, duration=20.0, output_tokens=100,
+    )
     screen.add_argument("--rates", type=_csv_floats, default=[2.0, 4.0, 6.0],
                         help="comma-separated arrival rates (req/s), one grid axis")
     screen.add_argument("--sizes", type=_csv_ints, default=[1, 2, 4],
                         help="comma-separated pool sizes, the other grid axis")
-    screen.add_argument("--max-prefill-batch", type=int, default=4)
-    screen.add_argument("--max-decode-batch", type=int, default=64)
-    screen.add_argument("--chunk-tokens", type=int, default=512)
-    screen.add_argument("--policy", default="fcfs", choices=POLICY_BUNDLES.names())
-    screen.add_argument("--duration", type=float, default=20.0, help="trace length (s)")
-    screen.add_argument("--output-tokens", type=int, default=100)
-    screen.add_argument("--output-spread", type=float, default=0.5)
-    screen.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    screen.add_argument("--max-sim-time", type=float, default=600.0)
     screen.add_argument("--margin", type=float, default=0.10,
                         help="relative safety margin widening the fluid Pareto front")
     screen.add_argument("--workers", type=int, default=1,

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro import cli
+from repro.analysis.sweeps import _callable_id
+from repro.cli import Scenario, build_parser, main
+from repro.errors import SimulationError
+from repro.exec.cache import ResultCache
+from repro.workloads.traces import TraceConfig
 
 
 class TestParser:
@@ -79,6 +86,11 @@ class TestCommands:
         assert main(["simulate", "--context-bucket", "0"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "context_bucket" in err
+
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_non_positive_shards_is_an_error(self, capsys, shards):
+        assert main(["simulate", "--shards", shards, "--duration", "1"]) == 2
+        assert "shards must be at least 1" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -238,6 +250,10 @@ class TestTopologyAwareSimulate:
         assert main(self._argv("--placer", "scattered")) == 2
         assert "no effect without --topology" in capsys.readouterr().err
 
+    def test_group_without_topology_is_an_error(self, capsys):
+        assert main(self._argv("--group", "8")) == 2
+        assert "no effect without --topology" in capsys.readouterr().err
+
 
 class TestSweepTopologyCacheSeparation:
     """Regression: a topology sweep must not reuse non-network cached points."""
@@ -263,6 +279,55 @@ class TestSweepTopologyCacheSeparation:
             tmp_path, "--topology", "circuit", "--network-model", "fabric",
         )) == 0
         assert "1 hits" in capsys.readouterr().out
+
+
+    def test_group_without_topology_stores_nothing(self, capsys, tmp_path):
+        assert main(self._argv(tmp_path, "--group", "8")) == 2
+        assert "no effect without --topology" in capsys.readouterr().err
+        assert ResultCache(tmp_path / "cache").entries() == 0
+
+
+_BASE_SCENARIO = Scenario(
+    shape="colocated", model="Llama3-8B", prefill_gpu="H100", decode_gpu="H100",
+    gpu="H100", gpus_per_instance=1, n_prefill=1, size=1, max_prefill_batch=4,
+    max_decode_batch=64, chunk_tokens=512, policy="fcfs", max_sim_time=60.0,
+    trace=TraceConfig(rate=2.0, duration=4.0), seed=0,
+)
+
+
+def _changed(value):
+    if isinstance(value, TraceConfig):
+        return dataclasses.replace(value, rate=value.rate + 1.0)
+    if isinstance(value, str):
+        return value + "-other"
+    return value + 1
+
+
+class TestScenarioCacheKey:
+    """Every run knob is part of the sweep's result-cache key."""
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Scenario)])
+    def test_every_field_changes_the_key(self, tmp_path, field):
+        cache = ResultCache(tmp_path)
+        other = dataclasses.replace(
+            _BASE_SCENARIO, **{field: _changed(getattr(_BASE_SCENARIO, field))}
+        )
+        assert cache.key("cli-sweep", other, "fp") != cache.key("cli-sweep", _BASE_SCENARIO, "fp")
+
+    def test_screen_key_ignores_the_rest_of_the_grid(self, monkeypatch):
+        bound = []
+
+        def capture(fn, points, **kwargs):
+            bound.append(_callable_id(fn))
+            raise SimulationError("captured")
+
+        monkeypatch.setattr(cli, "screen_then_simulate", capture)
+        for grid in (["--sizes", "1,2", "--rates", "2,4"],
+                     ["--sizes", "2,4", "--rates", "4,6"],
+                     ["--sizes", "1", "--rates", "2", "--duration", "5"]):
+            assert main(["screen", "--no-cache", *grid]) == 2
+        assert bound[0] == bound[1]
+        assert bound[0] != bound[2]
 
 
 class TestAutoscaleCommand:
