@@ -1,19 +1,17 @@
-"""Simulator hot-path micro-benchmark: memoized service times + deque queues.
+"""Simulator hot-path micro-benchmark: the memoized service-time oracle.
 
 The seed simulator re-evaluated the full analytical roofline every decode
-iteration and popped queues with O(n) ``list.pop(0)``; on long traces that
-dominated wall-clock.  The refactored engine memoizes service times in
-:class:`repro.cluster.engine.ServiceTimeProvider` (keyed on batch and a
-context bucket) and uses ``collections.deque`` throughout.  This benchmark
-runs a 10-minute-horizon trace both ways and asserts the ≥3x speedup the
-refactor exists to deliver — with the cached run's report staying exact
-(``context_bucket=1`` changes nothing but wall-clock).
+iteration; on long traces that dominated wall-clock.  The engine memoizes
+service times in :class:`repro.cluster.engine.ServiceTimeProvider`, keyed
+on batch and a context bucket.  This benchmark runs a 10-minute-horizon
+trace once and gates the memo deterministically, with no wall-clock
+noise: the decode memo answers ≥98% of calls, the prefill memo evaluates
+the roofline exactly once, and every memo entry equals the direct
+:class:`~repro.cluster.scheduler.InstanceSpec` evaluation
+(``context_bucket=1`` is exact).
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 from repro.cluster.scheduler import InstanceSpec, PhasePools
 from repro.cluster.simulator import ServingSimulator, SimConfig
@@ -38,41 +36,31 @@ POOLS = PhasePools(
 )
 
 
-def _timed_run(config: SimConfig):
-    simulator = ServingSimulator(POOLS, config)
-    start = time.perf_counter()
-    report = simulator.run(TRACE)
-    elapsed = time.perf_counter() - start
-    return report, elapsed, simulator.decode_provider.cache_info()
-
-
-def test_cached_service_times_speed_up_long_traces(benchmark):
-    def run():
-        uncached = _timed_run(SimConfig(max_sim_time=1800.0, cache_service_times=False))
-        # Best of two cached runs: a scheduler stall during the (short)
-        # cached run is the one noise source that could fake a regression.
-        cached = min(
-            (_timed_run(SimConfig(max_sim_time=1800.0, context_bucket=1)) for _ in range(2)),
-            key=lambda result: result[1],
-        )
-        return uncached, cached
-
-    (report_u, time_u, info_u), (report_c, time_c, info_c) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    speedup = time_u / time_c
+def test_service_time_memo_on_long_traces(benchmark):
+    simulator = ServingSimulator(POOLS, SimConfig(max_sim_time=1800.0))
+    report = benchmark.pedantic(simulator.run, args=(TRACE,), rounds=1, iterations=1)
+    decode = simulator.decode_provider.cache_info()
+    prefill = simulator.prefill_provider.cache_info()
+    hit_ratio = decode["hits"] / (decode["hits"] + decode["misses"])
     emit(
-        "Simulator hot path: 10-minute trace, cached vs uncached service times",
-        f"trace: {len(TRACE)} requests\n"
-        f"uncached: {time_u:.2f}s wall ({info_u['misses']} roofline evaluations)\n"
-        f"cached:   {time_c:.2f}s wall ({info_c['misses']} evaluations, "
-        f"{info_c['hits']} cache hits)\n"
-        f"speedup:  {speedup:.1f}x",
+        "Simulator hot path: 10-minute trace, memoized service times",
+        f"trace:   {len(TRACE)} requests\n"
+        f"decode:  {decode['hits']} memo hits, {decode['misses']} roofline evaluations "
+        f"(hit ratio {hit_ratio:.4f})\n"
+        f"prefill: {prefill['hits']} memo hits, {prefill['misses']} roofline evaluations",
     )
-    # Both runs finish the trace, and exact caching changes nothing but time.
-    assert report_u.completed == len(TRACE)
-    assert report_c == report_u
-    # The acceptance bar locally is >= 3x (measured ~4-5x); shared CI
-    # runners get a loose floor so scheduler noise can't block the matrix.
-    floor = 1.5 if os.environ.get("CI") else 3.0
-    assert speedup >= floor, f"expected >={floor}x speedup, got {speedup:.2f}x"
+    assert report.completed == len(TRACE)
+    # Measured 168,308 decode hits against 2,072 misses (0.9878).  A memo
+    # key that stops collapsing repeats, or a bypassed memo, drops this.
+    assert hit_ratio >= 0.98, f"decode memo hit ratio {hit_ratio:.4f} < 0.98"
+    # Every prompt of the trace has one length and every prefill batch one
+    # request, so one roofline evaluation serves them all.
+    assert prefill["misses"] == 1
+    # Exactness: each memoized latency is the direct model evaluation.
+    for provider, spec in (
+        (simulator.decode_provider, POOLS.decode),
+        (simulator.prefill_provider, POOLS.prefill),
+    ):
+        for (kind, batch, length), value in provider._cache.items():
+            direct = spec.decode_time if kind == "d" else spec.prefill_time
+            assert value == direct(batch, length), (kind, batch, length)

@@ -1,7 +1,4 @@
-"""Executor + engine perf benchmark: parallel sweeps and hot-path wins.
-
-Two claims, each measured against the code path it replaced and asserted
-bit-identical:
+"""Executor + engine perf benchmark: parallel sweeps and the engine hot path.
 
 1. **Parallel sweep** — 32 independent simulation points fanned across a
    4-worker process pool via :func:`repro.exec.runner.run_many` versus the
@@ -9,13 +6,12 @@ bit-identical:
    machine actually exposes: >= 2x where >= 4 cores are available (the
    paper-reproduction target), a proportional floor on 2-3 cores, and
    correctness-only (bit-identical records) on single-core boxes, where a
-   process pool cannot beat physics.
-2. **Engine hot paths** — the 10-minute trace of
-   ``benchmarks/test_perf_simulator.py`` with ``fast_engine=True``
-   (incrementally maintained occupancy/context counters, pure-python
-   context means) versus ``fast_engine=False`` (the seed's per-event scans
-   and numpy round-trips).  Single process, same machine: >= 1.3x locally,
-   with a relaxed CI floor against shared-runner noise.
+   process pool cannot beat physics.  Both runs must agree bit for bit.
+2. **Engine hot path** — the 10-minute trace of
+   ``benchmarks/test_perf_simulator.py``, gated by operation count rather
+   than wall-clock: every request completes and the engine reads at most
+   8 ``ActiveSequence`` attributes per request, which fails on any return
+   of per-tick, per-sequence work.
 
 A recorded run (``REPRO_BENCH_RECORD=1``) merges its numbers into
 ``benchmarks/BENCH_sweep.json`` — the trajectory artifact CI uploads.
@@ -25,8 +21,12 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from repro.cluster.engine import ActiveSequence
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
 from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
 from repro.exec.runner import Job, effective_workers, run_many
@@ -72,13 +72,19 @@ def _sweep_jobs():
 
 
 def test_parallel_sweep_speedup(benchmark):
+    def timed(workers):
+        start = time.perf_counter()
+        outcomes = run_many(_sweep_jobs(), workers=workers)
+        return outcomes, time.perf_counter() - start
+
     def run():
-        start = time.perf_counter()
-        serial = run_many(_sweep_jobs(), workers=1)
-        t_serial = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = run_many(_sweep_jobs(), workers=4)
-        t_parallel = time.perf_counter() - start
+        # Best of two interleaved rounds per mode: a stall from other load
+        # on a shared host hits one round, not the pair, and the floor
+        # below stays as it was.
+        rounds = [(timed(1), timed(4)) for _ in range(2)]
+        serial, t_serial = min((s for s, _ in rounds), key=lambda r: r[1])
+        parallel, t_parallel = min((p for _, p in rounds), key=lambda r: r[1])
+        assert [o.value for o in rounds[0][0][0]] == [o.value for o in rounds[1][0][0]]
         return serial, t_serial, parallel, t_parallel
 
     serial, t_serial, parallel, t_parallel = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -146,51 +152,47 @@ HOTPATH_POOLS = PhasePools(
 )
 
 
-def _timed_engine_run(config: SimConfig):
-    simulator = ServingSimulator(HOTPATH_POOLS, config)
-    start = time.perf_counter()
-    report = simulator.run(HOTPATH_TRACE)
-    return report, time.perf_counter() - start
+def test_engine_hot_path_op_count(benchmark):
+    """Per-sequence work per tick is gone: attribute reads per request stay O(1).
 
+    A resident sequence is touched only at admission and at completion;
+    every tick in between is one shared log append per instance.  Counting
+    ``ActiveSequence`` attribute reads makes that a deterministic gate: 5.0
+    reads per request today, against 178 when every tick bumped a
+    per-sequence token count and 1368 when every tick also appended a
+    per-sequence latency.
+    """
+    reads = Counter()
+    read = object.__getattribute__
 
-def test_engine_hot_path_speedup(benchmark):
+    def counting(seq, name):
+        reads[name] += 1
+        return read(seq, name)
+
     def run():
-        legacy = _timed_engine_run(SimConfig(max_sim_time=1800.0, fast_engine=False))
-        # Best of two fast runs: a scheduler stall during the (short) fast
-        # run is the one noise source that could fake a regression.
-        fast = min(
-            (_timed_engine_run(SimConfig(max_sim_time=1800.0)) for _ in range(2)),
-            key=lambda result: result[1],
-        )
-        return legacy, fast
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ActiveSequence, "__getattribute__", counting)
+            return ServingSimulator(HOTPATH_POOLS, SimConfig(max_sim_time=1800.0)).run(
+                HOTPATH_TRACE
+            )
 
-    (report_legacy, t_legacy), (report_fast, t_fast) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    speedup = t_legacy / t_fast
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    per_request = sum(reads.values()) / len(HOTPATH_TRACE)
     emit(
-        "Engine hot paths: 10-minute trace, incremental counters vs per-event scans",
-        f"trace:  {len(HOTPATH_TRACE)} requests\n"
-        f"legacy: {t_legacy:.2f}s wall (per-event occupancy scans + numpy context means)\n"
-        f"fast:   {t_fast:.2f}s wall (incremental integer counters)\n"
-        f"speedup: {speedup:.2f}x",
+        "Engine hot path: 10-minute trace, per-sequence attribute reads",
+        f"trace: {len(HOTPATH_TRACE)} requests ({report.completed} completed)\n"
+        f"ActiveSequence reads: {sum(reads.values())} ({per_request:.1f} per request; "
+        + ", ".join(f"{name} {count}" for name, count in sorted(reads.items()))
+        + ")",
     )
     record_artifact(
         ARTIFACT,
         "engine_hot_paths",
         {
             "requests": len(HOTPATH_TRACE),
-            "legacy_s": t_legacy,
-            "fast_s": t_fast,
-            "speedup": speedup,
+            "sequence_reads": dict(reads),
+            "sequence_reads_per_request": per_request,
         },
     )
-    record_artifact(ARTIFACT, "cores", _available_cores())
-    # The counters are integer sums of exactly the scanned terms: reports
-    # must match float-for-float, not approximately.
-    assert report_legacy == report_fast
-    assert report_fast.completed == len(HOTPATH_TRACE)
-    # Measured ~2.5x locally; the acceptance bar is 1.3x, relaxed on shared
-    # CI runners so scheduler noise can't block the matrix.
-    floor = 1.1 if os.environ.get("CI") else 1.3
-    assert speedup >= floor, f"expected >={floor}x speedup, got {speedup:.2f}x"
+    assert report.completed == len(HOTPATH_TRACE)
+    assert per_request <= 8, f"{per_request:.1f} ActiveSequence reads per request (> 8)"

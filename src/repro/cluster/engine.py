@@ -182,12 +182,11 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
     (a conservative latency estimate) and the hit rate soars.
     """
 
-    def __init__(self, instance: InstanceSpec, context_bucket: int = 1, cache: bool = True) -> None:
+    def __init__(self, instance: InstanceSpec, context_bucket: int = 1) -> None:
         if context_bucket < 1:
             raise SpecError("context_bucket must be at least 1")
         self.instance = instance
         self.context_bucket = int(context_bucket)
-        self.cache_enabled = cache
         self._cache: Dict[tuple, float] = {}
         self.hits = 0
         self.misses = 0
@@ -200,15 +199,12 @@ class ServiceTimeProvider(AbstractServiceTimeProvider):
         return ((length + b - 1) // b) * b
 
     def _memo(self, key: tuple, compute) -> float:
-        if self.cache_enabled:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
         self.misses += 1
-        value = compute()
-        if self.cache_enabled:
-            self._cache[key] = value
+        value = self._cache[key] = compute()
         return value
 
     def prefill_time(self, batch: int, prompt_len: int, instance: int = 0) -> float:
@@ -279,10 +275,9 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
         topology: Topology,
         groups: Sequence[Tuple[int, ...]],
         context_bucket: int = 1,
-        cache: bool = True,
         contention: bool = True,
     ) -> None:
-        super().__init__(instance, context_bucket, cache)
+        super().__init__(instance, context_bucket)
         if not groups:
             raise SpecError("network-aware provider needs at least one placed group")
         for group in groups:
@@ -336,17 +331,14 @@ class NetworkAwareServiceTimeProvider(ServiceTimeProvider):
         if world == 1 or tokens <= 0:
             return 0.0
         key = (world, max_hops, slowdown, tokens)
-        if self.cache_enabled:
-            cached = self._overhead_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self._overhead_cache.get(key)
+        if cached is not None:
+            return cached
         spec = self.instance
         size = tokens * spec.model.hidden * spec.policy.act_bytes
         alpha = spec.policy.alpha * max(1, max_hops)
         per_layer = cost_for(Collective.ALL_REDUCE, size, world, bandwidth, alpha).time
-        overhead = 2.0 * spec.model.layers * per_layer * slowdown
-        if self.cache_enabled:
-            self._overhead_cache[key] = overhead
+        overhead = self._overhead_cache[key] = 2.0 * spec.model.layers * per_layer * slowdown
         return overhead
 
     def prefill_time(self, batch: int, prompt_len: int, instance: int = 0) -> float:
@@ -401,30 +393,17 @@ def _available(state, time: float) -> bool:
 class ActiveSequence:
     """A sequence resident in a decode (or colocated) instance.
 
-    Under the fast engine the per-sequence bookkeeping is implicit: every
-    resident sequence of an instance experiences the same iterations, so
-    the engine keeps one shared iteration log per instance and each
-    sequence only remembers ``start_iter`` — the instance iteration count
-    at admission.  Its generated-token count is then always
-    ``iter_count - start_iter`` and its per-token latencies are the log
-    tail from ``start_iter``; neither needs per-sequence appends.  The
-    legacy path (``fast_engine=False``) still maintains ``generated`` and
-    ``iteration_times`` explicitly, one append per sequence per tick.
+    Per-sequence bookkeeping is implicit: every resident sequence of an
+    instance experiences the same iterations, so the engine keeps one
+    shared iteration log per instance and each sequence only remembers
+    ``start_iter`` — the instance iteration count at admission.  Its
+    generated-token count is always ``iter_count - start_iter`` and its
+    per-token latencies are the log tail from ``start_iter``; a tick
+    touches no sequence at all.
     """
 
     request: Request
-    generated: int = 0
-    ttft_done: float = 0.0
-    iteration_times: List[float] = field(default_factory=list)
     start_iter: int = 0
-
-    @property
-    def context_len(self) -> int:
-        return self.request.prompt_tokens + self.generated
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_tokens
 
 
 @dataclass
@@ -464,10 +443,11 @@ class DecodeState:
     (final KV footprints of every committed sequence) and ``context_sum``
     (sum of the decode batch's context lengths) are maintained
     incrementally — integer arithmetic, so they are exactly the sums the
-    seed recomputed by scanning on every event.
+    seed recomputed by scanning on every event (the test suite's invariant
+    checker rescans them after every tick).
 
-    The fast engine adds the shared-iteration structures: ``iter_log`` is
-    the latency of every iteration this instance ran (pruned below the
+    Shared-iteration structures replace per-sequence state: ``iter_log``
+    is the latency of every iteration this instance ran (pruned below the
     oldest resident ``start_iter``, with ``log_base`` tracking the prune
     offset), ``iter_count`` the lifetime iteration count, and ``due`` maps
     a future iteration count to the sequences completing exactly there —
@@ -502,14 +482,6 @@ class DecodeState:
         """Sequences holding a slot (decoding, chunking, or waiting to chunk)."""
         return len(self.active) + len(self.backlog) + (1 if self.current else 0)
 
-    def scan_occupied_tokens(self) -> int:
-        """Recount by scanning (the seed's per-event path; benchmark baseline)."""
-        tokens = sum(s.request.total_tokens for s in self.active)
-        tokens += sum(p.request.total_tokens for p in self.backlog)
-        if self.current is not None:
-            tokens += self.current.request.total_tokens
-        return tokens
-
     def has_work(self) -> bool:
         return bool(self.active or self.backlog or self.current)
 
@@ -526,7 +498,7 @@ class DecodeState:
         fires.  Clearing it here would let a recovery that ends before that
         event start a second iteration chain on the same instance.
         """
-        lost = [(seq.request, seq.generated) for seq in self.active]
+        lost = [(seq.request, self.iter_count - seq.start_iter) for seq in self.active]
         if self.current is not None:
             lost.append((self.current.request, 0))
         backlog = [partial.request for partial in self.backlog]
@@ -577,9 +549,9 @@ def _prune_iter_log(inst) -> None:
 def _tail_mean(inst, seq: ActiveSequence) -> float:
     """Mean per-token latency of a sequence completing *now*.
 
-    The log tail from ``start_iter`` is exactly the latencies the legacy
-    path appended to ``seq.iteration_times`` — same floats, same order, so
-    ``np.mean`` is bit-identical.
+    The log tail from ``start_iter`` holds exactly the latencies of the
+    ticks the sequence decoded through, in order — the ``np.mean`` of a
+    per-sequence latency list, bit for bit.
     """
     return float(np.mean(inst.iter_log[seq.start_iter - inst.log_base:]))
 
@@ -630,12 +602,6 @@ class _EngineBase:
         spawn_limits: Optional[Dict[str, int]],
     ) -> None:
         self.config = config
-        # fast_engine=True (the default) reads the incrementally maintained
-        # occupancy/context counters; False re-derives both by scanning
-        # instance state per event, exactly as the seed did — kept as the
-        # measured baseline for benchmarks/test_perf_sweep.py.  Both modes
-        # are bit-identical: the counters are integer sums of the same terms.
-        self.fast = getattr(config, "fast_engine", True)
         # metrics="streaming" routes completions into constant-memory
         # quantile sketches instead of the ``completed`` list; "exact" (the
         # default) keeps every CompletedRequest and stays bit-identical to
@@ -643,7 +609,7 @@ class _EngineBase:
         # ``repro.analysis`` pulls report modules that import this package,
         # so a module-level import would be circular.
         self.metrics = None
-        if getattr(config, "metrics", "exact") == "streaming":
+        if config.metrics == "streaming":
             from ..analysis.streaming import StreamingMetrics
 
             self.metrics = StreamingMetrics()
@@ -670,11 +636,10 @@ class _EngineBase:
         # and the event stream is bit-identical to the goldens.  Deferred
         # import: resilience imports this module for the provider ABC.
         self.resilience = None
-        resilience_config = getattr(config, "resilience", None)
-        if resilience_config is not None:
+        if config.resilience is not None:
             from .resilience import ResilienceRuntime
 
-            self.resilience = ResilienceRuntime(resilience_config)
+            self.resilience = ResilienceRuntime(config.resilience)
             self.resilience.bind(
                 lambda at, request: self.events.push(at, "retry", (request,))
             )
@@ -790,34 +755,24 @@ class _EngineBase:
         )
 
     def _complete_due(self, inst, done: List[ActiveSequence], finish: float) -> None:
-        """Complete the sequences due at this iteration (fast engine).
+        """Complete the sequences due at this iteration.
 
         Runs only on ticks that complete something.  Completion order equals
-        admit order within the due bucket, which is the order the legacy
-        scan completes them in.
+        admit order within the due bucket, which is batch order.  A
+        completing sequence's context has grown to its full footprint, so
+        ``total_tokens`` leaves both counters.
         """
         for seq in done:
             self._complete(seq, finish, _tail_mean(inst, seq))
-            inst.occupied -= seq.request.total_tokens
-            inst.context_sum -= seq.context_len
+            tokens = seq.request.total_tokens
+            inst.occupied -= tokens
+            inst.context_sum -= tokens
         if len(done) == len(inst.active):
             inst.active.clear()
         else:
             done_ids = set(map(id, done))
             inst.active = [s for s in inst.active if id(s) not in done_ids]
         _prune_iter_log(inst)
-
-    def _complete_scanned(self, inst, finish: float) -> None:
-        """Complete every finished sequence by scanning the batch (legacy engine)."""
-        still_active: List[ActiveSequence] = []
-        for seq in inst.active:
-            if seq.done:
-                self._complete(seq, finish, float(np.mean(seq.iteration_times)))
-                inst.occupied -= seq.request.total_tokens
-                inst.context_sum -= seq.context_len
-            else:
-                still_active.append(seq)
-        inst.active = still_active
 
     # --- requests ----------------------------------------------------------
 
@@ -864,10 +819,7 @@ class _EngineBase:
         # Loads double as each instance's KV budget: admissions to one
         # instance never change another's occupancy, so a single per-round
         # read feeds both the routing order and the budgets.
-        if self.fast:
-            loads = [s.occupied for s in states]
-        else:
-            loads = [s.scan_occupied_tokens() for s in states]
+        loads = [s.occupied for s in states]
         for idx in self.routing[self.kv_pool].order(loads):
             inst = states[idx]
             if not _available(inst, time) or not queue:
@@ -879,7 +831,7 @@ class _EngineBase:
                 if self.chunk_tokens:
                     inst.backlog.append(PartialPrefill(request, request.prompt_tokens))
                 else:
-                    self._join(inst, ActiveSequence(request=request, ttft_done=time))
+                    self._join(inst, ActiveSequence(request))
             if inst.has_work() and not inst.running:
                 inst.running = True
                 self.events.push(max(time, inst.busy_until), self._ITER_KIND, (idx,))
@@ -888,8 +840,7 @@ class _EngineBase:
         """Add a prefilled sequence to an instance's decode batch."""
         inst.active.append(seq)
         inst.context_sum += seq.request.prompt_tokens
-        if self.fast:
-            _register_due(inst, seq)
+        _register_due(inst, seq)
 
     def _on_iter(self, now: float, payload: tuple) -> None:
         """One KV-pool iteration: every resident sequence gains a token.
@@ -907,12 +858,9 @@ class _EngineBase:
             inst.running = False
             return
         batch = len(inst.active)
-        if self.fast:
-            # Bit-identical to the np.mean below: the counter is the same
-            # integer sum, divided in float64 either way.
-            context = int(inst.context_sum / batch) if batch else 1
-        else:
-            context = int(np.mean([s.context_len for s in inst.active])) if batch else 1
+        # The counter is the batch's integer context sum, so this is the
+        # seed's ``int(np.mean(contexts))`` bit for bit.
+        context = int(inst.context_sum / batch) if batch else 1
         current = None
         if self.chunk_tokens:
             current = inst.current
@@ -936,34 +884,22 @@ class _EngineBase:
         inst.energy_busy += latency * self._busy_power_ratio
         finish = now + latency
         inst.busy_until = finish
-        if self.fast:
-            # One shared log append instead of per-sequence latency appends
-            # (``generated`` stays live for inspectors).  A joiner below gets
-            # ``start_iter = iter_count`` *after* the increment, so its first
-            # logged tick is the next one — when the legacy path first
-            # appends to it.
-            for seq in inst.active:
-                seq.generated += 1
-            inst.iter_log.append(latency)
-            inst.iter_count += 1
-        else:
-            for seq in inst.active:
-                seq.generated += 1
-                seq.iteration_times.append(latency)
+        # One shared log append stands for every resident sequence's token.
+        # A joiner below gets ``start_iter = iter_count`` *after* the
+        # increment, so its first logged tick is the next one.
+        inst.iter_log.append(latency)
+        inst.iter_count += 1
         inst.context_sum += batch  # every decoding context grew by one token
         if current is not None:
             current.remaining -= chunk
             if current.remaining <= 0:
                 self._record_ttft(current.request, finish)
-                self._join(inst, ActiveSequence(request=current.request, ttft_done=finish))
+                self._join(inst, ActiveSequence(current.request))
                 inst.current = None
-        if self.fast:
-            # Pop exactly the sequences completing at this iteration count.
-            done = inst.due.pop(inst.iter_count, None)
-            if done:
-                self._complete_due(inst, done, finish)
-        else:
-            self._complete_scanned(inst, finish)
+        # Pop exactly the sequences completing at this iteration count.
+        done = inst.due.pop(inst.iter_count, None)
+        if done:
+            self._complete_due(inst, done, finish)
         self.events.push(finish, self._ADMIT_KIND, (idx,))
 
     def _on_admit(self, now: float, payload: tuple) -> None:

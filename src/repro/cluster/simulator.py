@@ -149,12 +149,9 @@ def _make_provider(
     """One service-time oracle for a pool: fabric-aware when requested."""
     if network_model == "fabric":
         return NetworkAwareServiceTimeProvider(
-            instance_spec, topology, placement.groups(pool_name),
-            config.context_bucket, config.cache_service_times,
+            instance_spec, topology, placement.groups(pool_name), config.context_bucket
         )
-    return ServiceTimeProvider(
-        instance_spec, config.context_bucket, config.cache_service_times
-    )
+    return ServiceTimeProvider(instance_spec, config.context_bucket)
 
 
 def _elastic_shapes(
@@ -228,11 +225,6 @@ class SimConfig:
     ``context_bucket`` controls the :class:`ServiceTimeProvider` cache key
     granularity — 1 is bit-exact, coarser buckets round contexts up to the
     bucket edge and trade ≤ one bucket of context for wall-clock speed.
-    ``cache_service_times=False`` disables memoization entirely (used by
-    the perf benchmark to measure the cache's win).
-    ``fast_engine=False`` re-enables the seed's per-event occupancy scans
-    and numpy context means (bit-identical, slower — the measured baseline
-    of ``benchmarks/test_perf_sweep.py``).
     ``metrics="streaming"`` folds completions into constant-memory quantile
     sketches (:mod:`repro.analysis.streaming`) instead of materializing a
     ``CompletedRequest`` per request: percentiles become ≤1%-error
@@ -254,8 +246,6 @@ class SimConfig:
     max_sim_time: float = 3600.0
     min_decode_interval: float = 1e-4  # guard against zero-length iterations
     context_bucket: int = 1
-    cache_service_times: bool = True
-    fast_engine: bool = True
     metrics: str = "exact"
     resilience: Optional[ResilienceConfig] = None
     backend: str = "event"

@@ -4,9 +4,10 @@ The two invariants everything else leans on:
 
 1. ``controller=None`` and ``controller="static"`` replay the
    pre-control-plane engine bit-for-bit (no controller events at all);
-2. ``fast_engine=True`` and ``False`` stay bit-identical even when
-   controllers change capacity mid-run (the property test at the bottom —
-   spawn/drain/retire exercise the incremental occupied/context counters).
+2. the engine's incremental KV-pool state survives controllers changing
+   capacity mid-run (the property tests at the bottom run spawn, drain and
+   retire under the invariant checker of ``invariants.py``, which rescans
+   the occupied/context counters, due buckets and iteration log).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invariants import checking
 from repro.cluster.control import (
     CONTROLLERS,
     ControlObservation,
@@ -380,7 +382,7 @@ class TestLifecycleSemantics:
         assert elastic.gpu_seconds < static.gpu_seconds
 
 
-# --- satellite: fast vs slow engines stay bit-identical under scaling ---------
+# --- satellite: the engine invariants hold under scaling ---------------------
 
 
 @settings(max_examples=8, deadline=None)
@@ -389,21 +391,16 @@ class TestLifecycleSemantics:
     high_rate=st.floats(min_value=4.0, max_value=12.0),
     warmup=st.floats(min_value=0.0, max_value=20.0),
 )
-def test_fast_and_slow_engines_identical_under_scaling_phase_split(
-    seed, high_rate, warmup
-):
+def test_engine_invariants_hold_under_scaling_phase_split(seed, high_rate, warmup):
     """Mid-run spawn/drain/retire exercise the incremental occupied/context
-    counters; both engine modes must agree float-for-float."""
+    counters; every tick must agree with a rescan."""
     t = bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed)
-
-    def run(fast: bool):
-        ctrl = ReactiveController(epoch=4.0, warmup_s=warmup, calm_epochs=2,
-                                  queue_high=1.5, max_instances=6)
-        config = SimConfig(max_sim_time=1200.0, fast_engine=fast)
-        return ServingSimulator(pools(n_prefill=1, n_decode=2), config,
-                                controller=ctrl).run(t)
-
-    assert run(True) == run(False)
+    ctrl = ReactiveController(epoch=4.0, warmup_s=warmup, calm_epochs=2,
+                              queue_high=1.5, max_instances=6)
+    with checking() as checker:
+        report = ServingSimulator(pools(n_prefill=1, n_decode=2), SimConfig(max_sim_time=1200.0),
+                                  controller=ctrl).run(t)
+    assert report.completed == checker.completions == len(t)
 
 
 @settings(max_examples=6, deadline=None)
@@ -411,17 +408,14 @@ def test_fast_and_slow_engines_identical_under_scaling_phase_split(
     seed=st.integers(min_value=0, max_value=2**16),
     high_rate=st.floats(min_value=4.0, max_value=12.0),
 )
-def test_fast_and_slow_engines_identical_under_scaling_colocated(seed, high_rate):
+def test_engine_invariants_hold_under_scaling_colocated(seed, high_rate):
     t = bursty_trace(low=1.0, high=high_rate, segment=25.0, seed=seed)
-
-    def run(fast: bool):
-        ctrl = ReactiveController(epoch=4.0, warmup_s=8.0, calm_epochs=2,
-                                  queue_high=1.5, max_instances=6)
-        config = SimConfig(max_sim_time=1200.0, fast_engine=fast)
-        return ColocatedSimulator(colocated(n_instances=2), config,
-                                  controller=ctrl).run(t)
-
-    assert run(True) == run(False)
+    ctrl = ReactiveController(epoch=4.0, warmup_s=8.0, calm_epochs=2,
+                              queue_high=1.5, max_instances=6)
+    with checking() as checker:
+        report = ColocatedSimulator(colocated(n_instances=2), SimConfig(max_sim_time=1200.0),
+                                    controller=ctrl).run(t)
+    assert report.completed == checker.completions == len(t)
 
 
 class TestElasticFailureTargets:

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.engine import EventQueue, ServiceTimeProvider
+from repro.cluster.engine import (
+    EventQueue,
+    NetworkAwareServiceTimeProvider,
+    ServiceTimeProvider,
+)
 from repro.cluster.scheduler import InstanceSpec
+from repro.core.chunked import MixedIteration, mixed_iteration_time
 from repro.errors import SpecError
 from repro.hardware.gpu import H100
+from repro.network.collectives import Collective, cost_for
+from repro.network.topology import DirectConnectTopology
 from repro.workloads.models import LLAMA3_8B
 
 
@@ -66,13 +73,46 @@ class TestServiceTimeProvider:
         provider = ServiceTimeProvider(spec, context_bucket=256)
         assert provider.decode_time(4, 100) >= spec.decode_time(4, 100)
 
-    def test_cache_disabled_still_correct(self):
+    @pytest.mark.parametrize("kind", ["prefill", "decode", "mixed"])
+    def test_miss_is_the_direct_value_and_repeat_is_a_hit(self, kind):
         spec = instance()
-        provider = ServiceTimeProvider(spec, cache=False)
-        assert provider.decode_time(4, 100) == spec.decode_time(4, 100)
-        provider.decode_time(4, 100)
+        provider = ServiceTimeProvider(spec)
+        call, direct = {
+            "prefill": (lambda: provider.prefill_time(2, 1500), spec.prefill_time(2, 1500)),
+            "decode": (lambda: provider.decode_time(4, 100), spec.decode_time(4, 100)),
+            "mixed": (
+                lambda: provider.mixed_time(8, 500, 256, 1500),
+                mixed_iteration_time(
+                    spec.model, spec.gpu, spec.n_gpus, MixedIteration(8, 500, 256, 1500),
+                    spec.policy,
+                ).iteration_time,
+            ),
+        }[kind]
+        assert call() == direct
+        assert provider.cache_info() == {"hits": 0, "misses": 1, "entries": 1}
+        assert call() == direct
+        assert provider.cache_info() == {"hits": 1, "misses": 1, "entries": 1}
+
+    def test_fabric_overhead_miss_is_the_direct_value_and_repeat_is_a_hit(self):
+        spec = InstanceSpec(LLAMA3_8B, H100, 2)
+        topology = DirectConnectTopology(n_gpus=8, group=4)
+        provider = NetworkAwareServiceTimeProvider(spec, topology, [(0, 1), (3, 4)])
+        # Instance 1 straddles two direct-connect groups: it pays hops.
+        fabric = provider.fabric_info()[1]
+        assert fabric["max_hops"] > 1
+        size = 16 * spec.model.hidden * spec.policy.act_bytes
+        alpha = spec.policy.alpha * max(1, fabric["max_hops"])
+        per_layer = cost_for(
+            Collective.ALL_REDUCE, size, fabric["world"], fabric["bandwidth"], alpha
+        ).time
+        overhead = 2.0 * spec.model.layers * per_layer * fabric["contention"]
+        assert overhead > 0
+        direct = spec.decode_time(16, 100) + overhead
+        assert provider.decode_time(16, 100, instance=1) == direct
+        assert provider.cache_info()["overhead_entries"] == 1
+        assert provider.decode_time(16, 100, instance=1) == direct
         info = provider.cache_info()
-        assert info["hits"] == 0 and info["misses"] == 2 and info["entries"] == 0
+        assert info["hits"] == 1 and info["misses"] == 1 and info["overhead_entries"] == 1
 
     def test_mixed_time_cached(self):
         provider = ServiceTimeProvider(instance(), context_bucket=1)

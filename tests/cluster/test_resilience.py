@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from invariants import checking
 from repro.cluster.policies import FrontOfQueueRequeue
 from repro.cluster.resilience import (
     RESILIENCE_FIELDS,
@@ -462,17 +463,14 @@ class TestGoldenDefaults:
 
     DEFAULTS = dict(RESILIENCE_FIELDS)
 
-    @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("metrics", ["exact", "streaming"])
-    def test_phase_split(self, fast, metrics):
+    def test_phase_split(self, metrics):
         t = trace(rate=4.0, duration=8.0)
-        golden = ServingSimulator(
-            pools(), SimConfig(fast_engine=fast, metrics=metrics)
-        ).run(t)
-        report = ServingSimulator(
-            pools(),
-            SimConfig(fast_engine=fast, metrics=metrics, resilience=ResilienceConfig()),
-        ).run(t)
+        with checking():
+            golden = ServingSimulator(pools(), SimConfig(metrics=metrics)).run(t)
+            report = ServingSimulator(
+                pools(), SimConfig(metrics=metrics, resilience=ResilienceConfig())
+            ).run(t)
         # With no deadline/SLO every completion is goodput: the only fields
         # allowed to differ are the goodput tallies themselves.
         assert replace(report, **self.DEFAULTS) == golden
@@ -481,17 +479,14 @@ class TestGoldenDefaults:
         assert report.deadline_missed == report.abandoned == 0
         assert report.availability == 1.0
 
-    @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("metrics", ["exact", "streaming"])
-    def test_colocated(self, fast, metrics):
+    def test_colocated(self, metrics):
         t = trace(rate=4.0, duration=8.0)
-        golden = ColocatedSimulator(
-            colocated(), SimConfig(fast_engine=fast, metrics=metrics)
-        ).run(t)
-        report = ColocatedSimulator(
-            colocated(),
-            SimConfig(fast_engine=fast, metrics=metrics, resilience=ResilienceConfig()),
-        ).run(t)
+        with checking():
+            golden = ColocatedSimulator(colocated(), SimConfig(metrics=metrics)).run(t)
+            report = ColocatedSimulator(
+                colocated(), SimConfig(metrics=metrics, resilience=ResilienceConfig())
+            ).run(t)
         assert replace(report, **self.DEFAULTS) == golden
         assert report.goodput_tokens_per_s == golden.output_tokens_per_s
 

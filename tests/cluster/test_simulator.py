@@ -387,14 +387,41 @@ class TestPolicyBundles:
         assert sjf.ttft_p50 < fcfs.ttft_p50
 
 
+def direct_service_time(spec: InstanceSpec, key: tuple) -> float:
+    """The analytical model's value for one provider memo key."""
+    from repro.core.chunked import MixedIteration, mixed_iteration_time
+
+    kind, *args = key
+    if kind == "p":
+        return spec.prefill_time(*args)
+    if kind == "d":
+        return spec.decode_time(*args)
+    return mixed_iteration_time(
+        spec.model, spec.gpu, spec.n_gpus, MixedIteration(*args), spec.policy
+    ).iteration_time
+
+
 class TestCachedServiceTimes:
     def test_exact_cache_is_bit_identical(self):
+        """Every memo entry a run leaves behind, of either shape, is the
+        direct model value."""
+        from repro.cluster.simulator import ColocatedSimulator
+
         t = trace(rate=4.0, duration=10.0, seed=8)
-        cached = ServingSimulator(pools(), SimConfig(max_sim_time=600.0)).run(t)
-        uncached = ServingSimulator(
-            pools(), SimConfig(max_sim_time=600.0, cache_service_times=False)
-        ).run(t)
-        assert cached == uncached
+        config = SimConfig(max_sim_time=600.0)
+        split = ServingSimulator(pools(), config)
+        chunked = ColocatedSimulator(colocated(), config)
+        for sim in (split, chunked):
+            assert sim.run(t).completed == len(t)
+        for provider, spec in [
+            (split.prefill_provider, split.pools.prefill),
+            (split.decode_provider, split.pools.decode),
+            (chunked.provider, chunked.pool.instance),
+        ]:
+            info = provider.cache_info()
+            assert info["hits"] > 0 and info["misses"] == info["entries"]
+            for key, value in provider._cache.items():
+                assert value == direct_service_time(spec, key), key
 
     def test_coarse_bucket_stays_close(self):
         t = trace(rate=4.0, duration=10.0, seed=8)
@@ -499,20 +526,25 @@ class TestColocated:
 
 
 class TestFastEngine:
-    """fast_engine=True (incremental counters) vs the seed's scan paths."""
+    """The incremental engine through a failure run, under the invariant
+    checker that re-derives its counters by rescanning at every tick."""
 
     def test_phase_split_bit_identical(self):
+        from invariants import checking
+
         t = trace(rate=4.0, duration=20.0)
         kw = dict(failures=[(10.0, "decode", 0, 30.0)])
-        fast = ServingSimulator(pools(n_decode=2), SimConfig(max_sim_time=600.0), **kw).run(t)
-        legacy = ServingSimulator(
-            pools(n_decode=2), SimConfig(max_sim_time=600.0, fast_engine=False), **kw
-        ).run(t)
-        assert fast == legacy
-        assert fast.restarted_requests > 0  # the failure path was exercised
+        plain = ServingSimulator(pools(n_decode=2), SimConfig(max_sim_time=600.0), **kw).run(t)
+        with checking() as checker:
+            checked = ServingSimulator(
+                pools(n_decode=2), SimConfig(max_sim_time=600.0), **kw
+            ).run(t)
+        assert checked == plain
+        assert checked.restarted_requests > 0  # the failure path was exercised
+        assert checker.completions == checked.completed == len(t)
 
     def test_colocated_bit_identical(self):
-        from repro.cluster.scheduler import ColocatedPool
+        from invariants import checking
         from repro.cluster.simulator import ColocatedSimulator
 
         pool = ColocatedPool(
@@ -520,47 +552,24 @@ class TestFastEngine:
         )
         t = trace(rate=4.0, duration=20.0)
         kw = dict(failures=[(2.0, "colocated", 0, 15.0)])
-        fast = ColocatedSimulator(pool, SimConfig(max_sim_time=600.0), **kw).run(t)
-        legacy = ColocatedSimulator(
-            pool, SimConfig(max_sim_time=600.0, fast_engine=False), **kw
-        ).run(t)
-        assert fast == legacy
+        plain = ColocatedSimulator(pool, SimConfig(max_sim_time=600.0), **kw).run(t)
+        with checking() as checker:
+            checked = ColocatedSimulator(pool, SimConfig(max_sim_time=600.0), **kw).run(t)
+        assert checked == plain
+        assert checker.completions == checked.completed == len(t)
 
     @pytest.mark.parametrize("shape", ["phase-split", "colocated"])
     def test_counters_match_scans_through_a_run(self, shape):
         """The incremental counters and the shared-iteration structures
-        agree with a full recount at every admit event."""
+        agree with a full recount at every tick and admit event."""
+        from invariants import checking
+
         engine = bare_engine(
             shape, SimConfig(max_sim_time=600.0), failures=[(2.0, KV_POOL[shape], 0, 10.0)]
         )
-        checked = 0
-        original = engine._on_admit
-
-        def checking(now, payload):
-            nonlocal checked
-            original(now, payload)
-            for state in engine.kv_states:
-                assert state.occupied == state.scan_occupied_tokens()
-                assert state.context_sum == sum(s.context_len for s in state.active)
-                assert len(state.iter_log) == state.iter_count - state.log_base
-                for seq in state.active:
-                    assert seq.generated == state.iter_count - seq.start_iter
-                    assert state.log_base <= seq.start_iter
-                # Every resident sequence sits in exactly one bucket, the
-                # one for its completion count, and nothing else is due.
-                due = [
-                    (count, id(seq)) for count, seqs in state.due.items() for seq in seqs
-                ]
-                resident = [
-                    (seq.start_iter + seq.request.output_tokens, id(seq))
-                    for seq in state.active
-                ]
-                assert sorted(due) == sorted(resident)
-            checked += 1
-
-        engine._on_admit = checking
-        engine.run(trace(rate=4.0, duration=10.0))
-        assert checked > 0
+        with checking() as checker:
+            engine.run(trace(rate=4.0, duration=10.0))
+        assert checker.ticks > 0 and checker.admits > 0
 
 
 class TestShortFailure:
