@@ -17,7 +17,11 @@ accumulators behind ``SimConfig(metrics="streaming")``:
   latency metric (TTFT, mean TBT, E2E) plus exact integer counters.
   Counters merge bit-exactly across shards; sketch quantiles are estimates
   (≤1% relative error on P50/P99 at 10k+ samples, property-pinned in
-  ``tests/analysis/test_streaming.py``).
+  ``tests/analysis/test_streaming.py``).  The error is measured against the
+  midpoint (Hazen, type-5) quantile — ``np.quantile(..., method="hazen")``
+  — because that is the definition the sketch interpolates: numpy's default
+  linear (type-7) quantile sits up to half an order-statistic gap away,
+  which in a heavy p99 tail alone can exceed 1%.
 
 Everything here is plain Python + numpy, picklable, and free of imports
 from the cluster layer, so worker processes can ship sketches back for a
@@ -167,7 +171,8 @@ class QuantileSketch:
             return self._max
         weights = np.asarray(self._weights)
         # Centroid midpoint ranks, anchored by the exact stream extremes at
-        # ranks 0 and count: linear interpolation between them.
+        # ranks 0 and count: linear interpolation between them.  Over
+        # singleton centroids this is the midpoint (Hazen) quantile.
         mids = np.concatenate(([0.0], np.cumsum(weights) - weights / 2.0, [float(self.count)]))
         means = np.concatenate(([self._min], np.asarray(self._means), [self._max]))
         return float(np.interp(q * self.count, mids, means))

@@ -13,9 +13,21 @@ The output is the **same** :class:`~repro.cluster.simulator.SimReport` the
 event engines produce (with ``backend="fluid"`` provenance): latency
 quantiles come from the arrival-weighted waiting-time distribution along the
 trajectory (plus an Erlang-C residual-wait correction for the discreteness
-the fluid limit erases), counters / throughput / utilization / economics
-from the integrated masses, and NaN — never 0.0 — where the fluid cannot
-estimate.
+the fluid limit erases), counters / throughput / utilization from the
+integrated masses, and NaN — never 0.0 — where the fluid cannot estimate.
+Per-pool busy time comes back as ledger rows that the simulator rolls up
+into economics exactly as it rolls up an event engine's instance states.
+
+One integrator, :func:`_integrate`, serves both deployment shapes over the
+deployment's pool table; the last row is the KV pool, whose iteration
+price, cohort transport, completion, KV-bounded admission, latency atoms
+and stop test both shapes share.  Like the event engine's ``_on_iter``, it
+branches only on ``chunk_tokens``, in three places: how arrivals reach KV
+admission (the front prefill pool's RK2 queue, or the bin rate directly),
+how an iteration is priced and prompts drain (chunked prefill mixes the
+mixed and decode fits), and how TTFT and its blocked residual are formed.
+:func:`fluid_report` is the one entry point; ``fluid_phase_split_report``
+and ``fluid_colocated_report`` are names bound to it, one per simulator.
 
 What the fluid model deliberately does *not* capture:
 
@@ -33,16 +45,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..workloads.traces import Request
-from .economics import EconomicsConfig, EconomicsReport, pool_economics
 from .engine import AbstractServiceTimeProvider
 from .policies import PolicyBundle
-from .scheduler import ColocatedPool, PhasePools
+from .scheduler import ColocatedPool, PhasePools, PoolRow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulator imports us lazily)
     from .simulator import SimConfig, SimReport
@@ -50,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulator imports us
 __all__ = [
     "TraceProfile",
     "BatchTimeFit",
+    "fluid_report",
     "fluid_phase_split_report",
     "fluid_colocated_report",
 ]
@@ -60,10 +72,10 @@ _EPS = 1e-12
 #: so percentile extraction stays O(atoms² log atoms) regardless of horizon.
 _MAX_TIME_ATOMS = 192
 _MAX_LENGTH_ATOMS = 256
-#: Residual-wait quartile midpoints.  Phase-split prefill passes are
-#: deterministic, so a blocked arrival waits a *uniform* residual of one
-#: pass; colocated prompt service is effectively exponential (M/M/c), so
-#: the blocked wait uses exponential quantiles ``-ln(1-u)``.
+#: Residual-wait quartile midpoints.  Unchunked (phase-split) prefill passes
+#: are deterministic, so a blocked arrival waits a *uniform* residual of one
+#: pass; chunked (colocated) prompt service is effectively exponential
+#: (M/M/c), so the blocked wait uses exponential quantiles ``-ln(1-u)``.
 _UNIFORM_ATOMS = (0.2, 0.4, 0.6, 0.8)
 _EXP_ATOMS = (0.13353, 0.47000, 0.98083, 2.07944)
 
@@ -327,19 +339,24 @@ def _compress_steps(
 
 
 # --------------------------------------------------------------------------
-# trajectory accumulator + report assembly
+# trajectory accumulator + fluid ledger rows
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class _Trajectory:
-    """Everything the integrators accumulate for report assembly."""
+    """Everything :func:`_integrate` accumulates for report assembly.
+
+    One integrator serves both deployment shapes, so the busy time is kept
+    per pool role: ``busy_front`` for a front prefill pool (phase-split
+    only) and ``busy_kv`` for the pool holding KV state.
+    """
 
     completed_mass: float = 0.0
     emitted_tokens: float = 0.0
     duration: float = 0.0
-    busy_prefill: float = 0.0  # instance-seconds
-    busy_decode: float = 0.0
+    busy_front: float = 0.0  # instance-seconds
+    busy_kv: float = 0.0
     # Per-step (arrival-weighted) atoms for the e2e outer product.
     arrive_w: List[float] = field(default_factory=list)
     e2e_base: List[float] = field(default_factory=list)  # mean ttft + decode wait
@@ -351,10 +368,15 @@ class _Trajectory:
     complete_w: List[float] = field(default_factory=list)
     tbt_at_completion: List[float] = field(default_factory=list)
 
+    def busy(self, row: PoolRow) -> float:
+        """Busy instance-seconds of one pool-table row."""
+        return self.busy_kv if row.holds_kv else self.busy_front
+
 
 @dataclass(frozen=True)
 class _FluidInstanceState:
-    """Synthetic engine-state ledger row for :func:`pool_economics`.
+    """Synthetic engine-state ledger row for
+    :func:`~repro.cluster.economics.pool_economics`.
 
     Fluid pools are static and run at base clock, so ``energy_busy`` equals
     ``busy_time`` (power ratio 1.0) and the lifecycle spans the whole run.
@@ -371,15 +393,341 @@ def _ledger_states(busy_instance_seconds: float, n: int) -> List[_FluidInstanceS
     return [_FluidInstanceState(busy_time=per, energy_busy=per) for _ in range(n)]
 
 
-def _fluid_report(
+def _balanced_routing(bundle: PolicyBundle) -> bool:
+    """Does routing spread work across instances instead of packing index 0?"""
+    return bundle.routing.name != "index-order"
+
+
+def _fluid_dt(profile: TraceProfile, horizon: float) -> float:
+    """Fixed RK2 step: ≥ 20ms, ≤ 600ms, ~1000 steps over the trace span."""
+    span = max(profile.span, 1.0)
+    return min(0.6, max(0.02, min(span, horizon) / 1000.0))
+
+
+# --------------------------------------------------------------------------
+# the integrator (both deployment shapes)
+# --------------------------------------------------------------------------
+
+
+def _integrate(
+    deployment: "PhasePools | ColocatedPool",
     profile: TraceProfile,
-    traj: _Trajectory,
-    n_prefill: int,
-    n_decode: int,
-) -> "SimReport":
-    """Assemble a SimReport from an integrated trajectory (NaN, never 0.0)."""
+    providers: Sequence[AbstractServiceTimeProvider],
+    horizon: float,
+    balanced: bool,
+) -> _Trajectory:
+    """Integrate a deployment's fluid masses over its pool table.
+
+    The last row of the pool table is the KV pool.  Both shapes share the
+    clock, its iteration price, cohort transport, completion, KV-bounded
+    admission, latency-atom recording and the stop test.  Like the event
+    engine's ``_on_iter``, the loop branches only on ``chunk_tokens``:
+
+    - **inflow**: arrivals reach the KV admission queue through the front
+      prefill pool's RK2 queue (unchunked), or directly at the bin rate
+      (chunked);
+    - **iteration price and prefill drain**: a chunked iteration is priced
+      between the mixed and decode fits by the share of iterations carrying
+      a chunk, and admitted prompts drain chunk by chunk into the decode
+      batch; unchunked admissions join the decode batch at once;
+    - **TTFT**: the prefill queue plus one pass, with a uniform residual of
+      one pass for blocked arrivals (:data:`_UNIFORM_ATOMS`), or the
+      admission wait plus the prompt's chunk passes, with an exponential
+      residual (:data:`_EXP_ATOMS`).
+    """
+    # The hot loop below is deliberately inlined and memoized: it runs
+    # O(1000) python iterations per simulated trace, and every dict hit it
+    # saves is a direct chunk of the fluid backend's speedup claim.
+    table = deployment.pool_table()
+    front, kv = table[0], table[-1]
+    chunk_tokens = getattr(deployment, "chunk_tokens", 0)
+    chunk = float(chunk_tokens)
+    pm, out_mean = profile.prompt_mean, profile.output_mean
+    context = int(round(pm + out_mean / 2.0))
+    prompt = max(1, int(round(pm)))
+    n, max_batch = kv.n_instances, deployment.max_decode_batch
+    # ``pfit`` prices the prompt side: a prefill pass on the front pool, or
+    # a mixed iteration carrying one chunk.
+    if chunk:
+        pfit = fit_mixed(providers[-1], max_batch, context, chunk_tokens, prompt, n)
+        passes_per_prompt = math.ceil(pm / chunk)
+    else:
+        n_p = front.n_instances
+        pfit = fit_prefill(providers[0], deployment.max_prefill_batch, prompt, n_p)
+        inv_np = 1.0 / n_p
+        max_pb = float(deployment.max_prefill_batch)
+    dfit = fit_decode(providers[-1], max_batch, context, n)
+    # The KV pool admits on a request's *final* footprint (prompt + output),
+    # exactly like FCFSAdmission's token budget.
+    kv_capacity = float(kv.spec.kv_token_capacity())
+    cap = max(1.0, min(float(max_batch), kv_capacity / max(profile.total_mean, 1.0)))
+    cap_total = n * cap
+    dt = _fluid_dt(profile, horizon)
+    half = 0.5 * dt
+    traj = _Trajectory()
+    rates = [float(r) for r in profile.rates]
+    srates = _smoothed_rates(rates)
+    n_bins = len(rates)
+    inv_bin = 1.0 / profile.bin_s
+    span = profile.span
+    inv_pm = 1.0 / pm
+    per_instance = 1.0 if balanced else cap
+    out_floor = out_mean - 1e-9
+    mass_floor = 1e-9 * max(1.0, float(profile.n_requests))
+    exp, ceil = math.exp, math.ceil
+    # Quantized (1/16-request) memo tables over the segmented fits, plus an
+    # Erlang-C memo keyed by arrival bin and the shape's service quantum.
+    p_memo: dict = {}
+    d_memo: dict = {}
+    e_memo: dict = {}
+    td_idle = dfit.time_at(1.0)
+    atoms = _EXP_ATOMS if chunk else _UNIFORM_ATOMS
+
+    aw_app = traj.arrive_w.append
+    eb_app = traj.e2e_base.append
+    ta_app = traj.tbt_at_arrival.append
+    tw_app = traj.ttft_w.append
+    tv_app = traj.ttft_vals.append
+    cw_app = traj.complete_w.append
+    tc_app = traj.tbt_at_completion.append
+
+    qp = 0.0  # front prefill queue (unchunked)
+    qa = 0.0  # KV admission queue (not yet resident)
+    prefill_tokens = 0.0  # outstanding prompt tokens among residents (chunked)
+    nd = 0.0  # decode-resident mass
+    busy_front = busy_kv = completed_mass = duration = 0.0
+    progress = 0.0  # cumulative decode token progress ∫ dt / T_iter
+    cohorts: deque = deque()  # [mass, progress at admission]
+    pop_front = cohorts.popleft
+    push = cohorts.append
+    step = 0
+    max_steps = int(horizon / dt) + 1
+    t_next = 0.0
+    while step < max_steps:
+        t = t_next
+        t_next = (step + 1) * dt  # drift-free clock
+        step += 1
+        idx_mid = int((t + half) * inv_bin)
+        lam_mid = rates[idx_mid] if idx_mid < n_bins else 0.0
+
+        if chunk:
+            inflow = lam_mid
+        else:
+            # --- front prefill queue, RK2 midpoint ------------------------
+            idx = int(t * inv_bin)
+            lam = rates[idx] if idx < n_bins else 0.0
+            bp1 = qp * inv_np
+            bp1 = 1.0 if bp1 < 1.0 else (max_pb if bp1 > max_pb else bp1)
+            qb1 = int(bp1 * 16.0 + 0.5)
+            tp1 = p_memo.get(qb1)
+            if tp1 is None:
+                tp1 = p_memo[qb1] = pfit.time_at(qb1 * 0.0625 * pm)
+            cap1 = n_p * (qb1 * 0.0625) / tp1
+            mu1 = qp / dt + lam
+            if mu1 > cap1:
+                mu1 = cap1
+            qp_mid = qp + half * (lam - mu1)
+            if qp_mid < 0.0:
+                qp_mid = 0.0
+            bp = qp_mid * inv_np
+            bp = 1.0 if bp < 1.0 else (max_pb if bp > max_pb else bp)
+            qb = int(bp * 16.0 + 0.5)
+            bq = qb * 0.0625
+            tp = p_memo.get(qb)
+            if tp is None:
+                tp = p_memo[qb] = pfit.time_at(qb * 0.0625 * pm)
+            cap_rate = n_p * bq / tp
+            mu_p = qp / dt + lam_mid
+            if mu_p > cap_rate:
+                mu_p = cap_rate
+            qp = qp + dt * (lam_mid - mu_p)
+            if qp < 0.0:
+                qp = 0.0
+            busy_front += mu_p * tp / bq * dt
+            inflow = mu_p
+
+        # --- KV pool iteration price ---------------------------------------
+        resident = nd + prefill_tokens * inv_pm
+        if resident > _EPS:
+            n_act = ceil(resident / per_instance - 1e-9)
+            if n_act < 1:
+                n_act = 1
+            elif n_act > n:
+                n_act = n
+            bd = nd / n_act
+            if bd > cap:
+                bd = cap
+            qdk = int(bd * 16.0 + 0.5)
+            if qdk < 16:
+                qdk = 16
+            t_dec = d_memo.get(qdk)
+            if t_dec is None:
+                t_dec = dfit.time_at(qdk * 0.0625)
+                d_memo[qdk] = t_dec
+            if chunk:
+                t_mix = p_memo.get(qdk)
+                if t_mix is None:
+                    t_mix = pfit.time_at(qdk * 0.0625)
+                    p_memo[qdk] = t_mix
+                # Only the fraction of iterations that actually carry a
+                # chunk pays the mixed-pass premium; the rest run
+                # decode-only.
+                if prefill_tokens > _EPS:
+                    chunk_frac = (prefill_tokens / dt) / (n_act * chunk / t_mix)
+                    if chunk_frac > 1.0:
+                        chunk_frac = 1.0
+                else:
+                    chunk_frac = 0.0
+                t_iter = chunk_frac * t_mix + (1.0 - chunk_frac) * t_dec
+                # A partially-filled instance idles between arrivals: its
+                # busy fraction is the discrete-occupancy 1 - e^(-batch),
+                # here counting prompts still prefilling.
+                busy_kv += n_act * (1.0 - exp(-resident / n_act)) * dt
+            else:
+                t_iter = t_dec
+                # The same, over the decode batch clipped at ``cap``: the
+                # clip fires when ``nd`` overshoots ``n_act * cap`` by a few
+                # ulps, so ``resident / n_act`` would move the sum's bits.
+                busy_kv += n_act * (1.0 - exp(-bd)) * dt
+        else:
+            n_act = 0
+            t_mix = t_iter = td_idle
+
+        # --- decode transport ----------------------------------------------
+        # Every resident request gains one token per iteration (mixed ones
+        # included); a cohort completes when its token progress spans the
+        # mean output length (characteristic transport, not an exponential
+        # drain — this keeps the tail drain time event-accurate).
+        if nd > _EPS:
+            progress += dt / t_iter
+        done = 0.0
+        while cohorts and progress - cohorts[0][1] >= out_floor:
+            done += pop_front()[0]
+        if done > 0.0:
+            nd -= done
+            completed_mass += done
+            duration = t_next  # clock of the last completion
+        if chunk and prefill_tokens > _EPS and n_act > 0:
+            # Chunk-carrying iterations retire chunk tokens each; finished
+            # prompts join the decode batch.
+            drained = chunk_frac * n_act * chunk / t_iter * dt
+            if drained > prefill_tokens:
+                drained = prefill_tokens
+            prefill_tokens -= drained
+            moved = drained * inv_pm
+            if moved > _EPS:
+                push([moved, progress])
+                nd += moved
+
+        # --- KV-bounded admission ------------------------------------------
+        resident = nd + prefill_tokens * inv_pm
+        free_rate = (cap_total - resident) / dt
+        if free_rate < 0.0:
+            free_rate = 0.0
+        mu_adm = inflow + qa / dt
+        if mu_adm > free_rate:
+            mu_adm = free_rate
+        admitted = mu_adm * dt
+        qa = qa + dt * (inflow - mu_adm)
+        if qa < 0.0:
+            qa = 0.0
+        if chunk:
+            prefill_tokens += admitted * pm
+        elif admitted > _EPS:
+            push([admitted, progress])
+            nd += admitted
+
+        # --- latency atoms -------------------------------------------------
+        w = lam_mid * dt
+        if w > 0.0:
+            wait = qa * out_mean * t_iter / nd if (qa > 1e-9 and nd > _EPS) else 0.0
+            if chunk:
+                # A prompt prefills chunk-by-chunk after its admission wait:
+                # ceil(pm/chunk) mixed passes to first token, plus the
+                # iteration-boundary residual.
+                service = passes_per_prompt * t_mix
+                base = wait + service + 0.5 * t_iter
+                # Prompt service behind other prompts queues M/D/c-style:
+                # blocked probability from Erlang-C, wait depth exponential
+                # at *half* the M/M/c scale (chunk passes are deterministic).
+                servers = n_act if n_act > 0 else 1
+                ekey = (idx_mid, servers, int(service * 1e4))
+                cached = e_memo.get(ekey)
+                if cached is None:
+                    slam = srates[idx_mid] if idx_mid < n_bins else 0.0
+                    blocked = _erlang_c(servers, slam * service)
+                    gap = servers / service - slam
+                    scale = 0.5 / gap if gap > 1e-9 else 12.5 * service
+                    cached = (blocked, scale)
+                    e_memo[ekey] = cached
+                blocked, scale = cached
+                e2e_base = base + blocked * scale
+            else:
+                # First token after the prefill queue and one pass; the
+                # decode admission wait delays only the e2e latency.
+                base = qp / cap_rate + tp
+                ekey = (idx_mid, qb)
+                blocked = e_memo.get(ekey)
+                if blocked is None:
+                    slam = srates[idx_mid] if idx_mid < n_bins else 0.0
+                    blocked = _erlang_c(n_p, slam * tp / bq)
+                    e_memo[ekey] = blocked
+                scale = tp
+                e2e_base = base + 0.5 * blocked * tp + wait
+            tw_app(w * (1.0 - blocked))
+            tv_app(base)
+            if blocked > 1e-6:
+                share = w * blocked * 0.25
+                for u in atoms:
+                    tw_app(share)
+                    tv_app(base + u * scale)
+            aw_app(w)
+            eb_app(e2e_base)
+            ta_app(t_iter)
+        if done > 0.0:
+            cw_app(done)
+            tc_app(t_iter)
+        if t_next >= span and qp + qa + prefill_tokens + nd <= mass_floor:
+            break
+    traj.completed_mass = completed_mass
+    traj.duration = duration if duration != 0.0 else t_next
+    traj.busy_front, traj.busy_kv = busy_front, busy_kv
+    traj.emitted_tokens = completed_mass * out_mean + sum(
+        mass * min(out_mean, progress - admitted_at) for mass, admitted_at in cohorts
+    )
+    return traj
+
+
+# --------------------------------------------------------------------------
+# public entry point (called by the simulators' backend dispatch)
+# --------------------------------------------------------------------------
+
+
+def fluid_report(
+    deployment: "PhasePools | ColocatedPool",
+    config: "SimConfig",
+    trace: "Sequence[Request] | Iterable[Request]",
+    providers: Sequence[AbstractServiceTimeProvider],
+    bundle: PolicyBundle,
+) -> Tuple["SimReport", Dict[str, List[_FluidInstanceState]], int]:
+    """Fluid counterpart of the simulators' event run, for either shape.
+
+    ``providers`` are the pools' service-time providers in pool-table
+    order.  Returns the report (NaN, never 0.0, where nothing completed;
+    economics fields unset), each pool's ledger rows keyed by pool name,
+    and the emitted output-token count; the simulator rolls the ledger up
+    into economics exactly as it rolls up an engine's instance states.
+    """
     from .simulator import SimReport
 
+    table = deployment.pool_table()
+    profile = TraceProfile.from_trace(list(trace))
+    if profile.n_requests == 0:
+        traj = _Trajectory()
+    else:
+        traj = _integrate(
+            deployment, profile, providers, config.max_sim_time, _balanced_routing(bundle)
+        )
     nan = float("nan")
     completed = max(0, int(round(min(traj.completed_mass, float(profile.n_requests)))))
     duration = max(traj.duration, _EPS)
@@ -402,7 +750,10 @@ def _fluid_report(
         e2e_p50, e2e_p99 = _weighted_percentile(e2e, e2e_w, (50.0, 99.0))
     else:
         ttft_p50 = ttft_p99 = tbt_mean = tbt_p99 = e2e_p50 = e2e_p99 = nan
-    return SimReport(
+    # As in the event report, the first pool's busy time is the prefill
+    # utilization and the last pool's the decode utilization.
+    first, last = table[0], table[-1]
+    report = SimReport(
         completed=completed,
         dropped=profile.n_requests - completed,
         duration=duration,
@@ -413,483 +764,15 @@ def _fluid_report(
         e2e_p50=float(e2e_p50),
         e2e_p99=float(e2e_p99),
         output_tokens_per_s=traj.emitted_tokens / duration,
-        prefill_utilization=min(1.0, traj.busy_prefill / (n_prefill * duration)),
-        decode_utilization=min(1.0, traj.busy_decode / (n_decode * duration)),
+        prefill_utilization=min(1.0, traj.busy(first) / (first.n_instances * duration)),
+        decode_utilization=min(1.0, traj.busy(last) / (last.n_instances * duration)),
         requeued_on_failure=0,
         backend="fluid",
     )
+    ledger = {row.name: _ledger_states(traj.busy(row), row.n_instances) for row in table}
+    return report, ledger, int(round(traj.emitted_tokens))
 
 
-def _attach_fluid_economics(
-    report: "SimReport", rollups: Tuple, out_tokens: float
-) -> Tuple["SimReport", EconomicsReport]:
-    econ = EconomicsReport(
-        pools=tuple(rollups),
-        duration=report.duration,
-        output_tokens=int(round(out_tokens)),
-    )
-    report = replace(
-        report,
-        gpu_seconds=econ.gpu_seconds,
-        energy_joules=econ.energy_joules,
-        usd_cost=econ.usd_cost,
-        usd_per_mtoken=econ.usd_per_mtoken,
-    )
-    return report, econ
-
-
-def _balanced_routing(bundle: PolicyBundle) -> bool:
-    """Does routing spread work across instances instead of packing index 0?"""
-    return bundle.routing.name != "index-order"
-
-
-def _fluid_dt(profile: TraceProfile, horizon: float) -> float:
-    """Fixed RK2 step: ≥ 20ms, ≤ 600ms, ~1000 steps over the trace span."""
-    span = max(profile.span, 1.0)
-    return min(0.6, max(0.02, min(span, horizon) / 1000.0))
-
-
-# --------------------------------------------------------------------------
-# phase-split (Splitwise-style) integrator
-# --------------------------------------------------------------------------
-
-
-def _integrate_phase_split(
-    pools: PhasePools,
-    profile: TraceProfile,
-    pfit: BatchTimeFit,
-    dfit: BatchTimeFit,
-    horizon: float,
-    balanced: bool,
-    kv_capacity: float,
-) -> _Trajectory:
-    # The hot loop below is deliberately inlined and memoized: it runs
-    # O(1000) python iterations per simulated trace, and every dict hit it
-    # saves is a direct chunk of the fluid backend's speedup claim.
-    n_p, n_d = pools.n_prefill, pools.n_decode
-    pm, out_mean = profile.prompt_mean, profile.output_mean
-    max_pb = float(pools.max_prefill_batch)
-    # Decode admits on the request's *final* KV footprint (prompt + output),
-    # exactly like FCFSAdmission's token budget.
-    cap = max(1.0, min(float(pools.max_decode_batch), kv_capacity / max(profile.total_mean, 1.0)))
-    nd_max = n_d * cap
-    dt = _fluid_dt(profile, horizon)
-    half = 0.5 * dt
-    traj = _Trajectory()
-    rates = [float(r) for r in profile.rates]
-    srates = _smoothed_rates(rates)
-    n_bins = len(rates)
-    inv_bin = 1.0 / profile.bin_s
-    span = profile.span
-    inv_np = 1.0 / n_p
-    per_instance = 1.0 if balanced else cap
-    out_floor = out_mean - 1e-9
-    mass_floor = 1e-9 * max(1.0, float(profile.n_requests))
-    exp, ceil = math.exp, math.ceil
-    # Quantized (1/16-request) memo tables over the segmented fits, plus an
-    # Erlang-C memo keyed on (arrival bin, prefill batch quantum).
-    p_memo: dict = {}
-    d_memo: dict = {}
-    e_memo: dict = {}
-    td_idle = dfit.time_at(1.0)
-
-    aw_app = traj.arrive_w.append
-    eb_app = traj.e2e_base.append
-    ta_app = traj.tbt_at_arrival.append
-    tw_app = traj.ttft_w.append
-    tv_app = traj.ttft_vals.append
-    cw_app = traj.complete_w.append
-    tc_app = traj.tbt_at_completion.append
-
-    def prefill_lookup(qb: int) -> float:
-        tp = p_memo.get(qb)
-        if tp is None:
-            tp = pfit.time_at(qb * 0.0625 * pm)
-            p_memo[qb] = tp
-        return tp
-
-    qp = qd = nd = 0.0
-    progress = 0.0  # cumulative decode token progress ∫ dt / T_d
-    cohorts: deque = deque()  # [mass, progress at admission]
-    pop_front = cohorts.popleft
-    push = cohorts.append
-    step = 0
-    max_steps = int(horizon / dt) + 1
-    t_next = 0.0
-    while step < max_steps:
-        t = t_next
-        t_next = (step + 1) * dt  # drift-free clock
-        step += 1
-        idx = int(t * inv_bin)
-        lam = rates[idx] if idx < n_bins else 0.0
-        idx_mid = int((t + half) * inv_bin)
-        lam_mid = rates[idx_mid] if idx_mid < n_bins else 0.0
-
-        # --- prefill queue, RK2 midpoint ---------------------------------
-        bp1 = qp * inv_np
-        bp1 = 1.0 if bp1 < 1.0 else (max_pb if bp1 > max_pb else bp1)
-        qb1 = int(bp1 * 16.0 + 0.5)
-        tp1 = prefill_lookup(qb1)
-        cap1 = n_p * (qb1 * 0.0625) / tp1
-        mu1 = qp / dt + lam
-        if mu1 > cap1:
-            mu1 = cap1
-        qp_mid = qp + half * (lam - mu1)
-        if qp_mid < 0.0:
-            qp_mid = 0.0
-        bp = qp_mid * inv_np
-        bp = 1.0 if bp < 1.0 else (max_pb if bp > max_pb else bp)
-        qb = int(bp * 16.0 + 0.5)
-        bq = qb * 0.0625
-        tp = prefill_lookup(qb)
-        cap_rate = n_p * bq / tp
-        mu_p = qp / dt + lam_mid
-        if mu_p > cap_rate:
-            mu_p = cap_rate
-        qp = qp + dt * (lam_mid - mu_p)
-        if qp < 0.0:
-            qp = 0.0
-        traj.busy_prefill += mu_p * tp / bq * dt
-
-        # --- decode transport --------------------------------------------
-        # Every resident request gains one token per iteration; a cohort
-        # completes when its token progress spans the mean output length
-        # (characteristic transport, not an exponential drain — this keeps
-        # the tail drain time event-accurate).
-        if nd > _EPS:
-            n_act = ceil(nd / per_instance - 1e-9)
-            if n_act < 1:
-                n_act = 1
-            elif n_act > n_d:
-                n_act = n_d
-            bd = nd / n_act
-            if bd > cap:
-                bd = cap
-            qdk = int(bd * 16.0 + 0.5)
-            if qdk < 16:
-                qdk = 16
-            td = d_memo.get(qdk)
-            if td is None:
-                td = dfit.time_at(qdk * 0.0625)
-                d_memo[qdk] = td
-            progress += dt / td
-            # A partially-filled instance idles between arrivals: its busy
-            # fraction is the discrete-occupancy 1 - e^(-batch).
-            traj.busy_decode += n_act * (1.0 - exp(-bd)) * dt
-        else:
-            td = td_idle
-        done = 0.0
-        while cohorts and progress - cohorts[0][1] >= out_floor:
-            done += pop_front()[0]
-        if done > 0.0:
-            nd -= done
-            traj.completed_mass += done
-            traj.duration = t_next
-        # KV-bounded admission from the handoff queue plus fresh prefills.
-        mu_adm = mu_p + qd / dt
-        free_rate = (nd_max - nd) / dt
-        if free_rate < 0.0:
-            free_rate = 0.0
-        if mu_adm > free_rate:
-            mu_adm = free_rate
-        admitted = mu_adm * dt
-        if admitted > _EPS:
-            push([admitted, progress])
-            nd += admitted
-        qd = qd + dt * (mu_p - mu_adm)
-        if qd < 0.0:
-            qd = 0.0
-
-        # --- latency samples ---------------------------------------------
-        w = lam_mid * dt
-        if w > 0.0:
-            base = qp / cap_rate + tp
-            wait_d = qd * out_mean * td / nd if (qd > 1e-9 and nd > _EPS) else 0.0
-            ekey = (idx_mid, qb)
-            blocked = e_memo.get(ekey)
-            if blocked is None:
-                slam = srates[idx_mid] if idx_mid < n_bins else 0.0
-                blocked = _erlang_c(n_p, slam * tp / bq)
-                e_memo[ekey] = blocked
-            tw_app(w * (1.0 - blocked))
-            tv_app(base)
-            if blocked > 1e-6:
-                share = w * blocked * 0.25
-                for frac in _UNIFORM_ATOMS:
-                    tw_app(share)
-                    tv_app(base + frac * tp)
-            aw_app(w)
-            eb_app(base + 0.5 * blocked * tp + wait_d)
-            ta_app(td)
-        if done > 0.0:
-            cw_app(done)
-            tc_app(td)
-        if t_next >= span and qp + qd + nd <= mass_floor:
-            break
-    if traj.duration == 0.0:
-        traj.duration = t_next
-    traj.emitted_tokens = traj.completed_mass * out_mean + sum(
-        mass * min(out_mean, progress - admitted_at) for mass, admitted_at in cohorts
-    )
-    return traj
-
-
-# --------------------------------------------------------------------------
-# colocated (SARATHI-style) integrator
-# --------------------------------------------------------------------------
-
-
-def _integrate_colocated(
-    pool: ColocatedPool,
-    profile: TraceProfile,
-    mfit: BatchTimeFit,
-    dfit: BatchTimeFit,
-    horizon: float,
-    balanced: bool,
-    kv_capacity: float,
-) -> _Trajectory:
-    n = pool.n_instances
-    pm, out_mean = profile.prompt_mean, profile.output_mean
-    chunk = float(pool.chunk_tokens)
-    cap = max(1.0, min(float(pool.max_decode_batch), kv_capacity / max(profile.total_mean, 1.0)))
-    cap_total = n * cap
-    dt = _fluid_dt(profile, horizon)
-    half = 0.5 * dt
-    traj = _Trajectory()
-    rates = [float(r) for r in profile.rates]
-    srates = _smoothed_rates(rates)
-    n_bins = len(rates)
-    inv_bin = 1.0 / profile.bin_s
-    span = profile.span
-    inv_pm = 1.0 / pm
-    per_instance = 1.0 if balanced else cap
-    passes_per_prompt = math.ceil(pm / chunk)
-    out_floor = out_mean - 1e-9
-    mass_floor = 1e-9 * max(1.0, float(profile.n_requests))
-    exp, ceil = math.exp, math.ceil
-    m_memo: dict = {}
-    d_memo: dict = {}
-    e_memo: dict = {}
-    td_idle = dfit.time_at(1.0)
-
-    aw_app = traj.arrive_w.append
-    eb_app = traj.e2e_base.append
-    ta_app = traj.tbt_at_arrival.append
-    tw_app = traj.ttft_w.append
-    tv_app = traj.ttft_vals.append
-    cw_app = traj.complete_w.append
-    tc_app = traj.tbt_at_completion.append
-
-    qa = 0.0  # admission queue (not yet resident)
-    prefill_tokens = 0.0  # outstanding prompt tokens among residents
-    nd = 0.0  # decode-resident mass
-    progress = 0.0
-    cohorts: deque = deque()
-    pop_front = cohorts.popleft
-    push = cohorts.append
-    step = 0
-    max_steps = int(horizon / dt) + 1
-    t_next = 0.0
-    while step < max_steps:
-        t = t_next
-        t_next = (step + 1) * dt
-        step += 1
-        idx_mid = int((t + half) * inv_bin)
-        lam_mid = rates[idx_mid] if idx_mid < n_bins else 0.0
-
-        resident = nd + prefill_tokens * inv_pm
-        if resident > _EPS:
-            n_act = ceil(resident / per_instance - 1e-9)
-            if n_act < 1:
-                n_act = 1
-            elif n_act > n:
-                n_act = n
-            bd = nd / n_act
-            if bd > cap:
-                bd = cap
-            qdk = int(bd * 16.0 + 0.5)
-            if qdk < 16:
-                qdk = 16
-            t_mix = m_memo.get(qdk)
-            if t_mix is None:
-                t_mix = mfit.time_at(qdk * 0.0625)
-                m_memo[qdk] = t_mix
-            t_dec = d_memo.get(qdk)
-            if t_dec is None:
-                t_dec = dfit.time_at(qdk * 0.0625)
-                d_memo[qdk] = t_dec
-            # Only the fraction of iterations that actually carry a chunk
-            # pays the mixed-pass premium; the rest run decode-only.
-            if prefill_tokens > _EPS:
-                chunk_frac = (prefill_tokens / dt) / (n_act * chunk / t_mix)
-                if chunk_frac > 1.0:
-                    chunk_frac = 1.0
-            else:
-                chunk_frac = 0.0
-            t_iter = chunk_frac * t_mix + (1.0 - chunk_frac) * t_dec
-            traj.busy_decode += n_act * (1.0 - exp(-resident / n_act)) * dt
-        else:
-            n_act = 0
-            chunk_frac = 0.0
-            t_mix = t_iter = td_idle
-        # Decode token progress (mixed iterations still emit one token per
-        # resident sequence).
-        if nd > _EPS:
-            progress += dt / t_iter
-        done = 0.0
-        while cohorts and progress - cohorts[0][1] >= out_floor:
-            done += pop_front()[0]
-        if done > 0.0:
-            nd -= done
-            traj.completed_mass += done
-            traj.duration = t_next
-        # Chunked prefill: chunk-carrying iterations retire chunk tokens
-        # each; finished prompts join the decode batch.
-        if prefill_tokens > _EPS and n_act > 0:
-            drained = chunk_frac * n_act * chunk / t_iter * dt
-            if drained > prefill_tokens:
-                drained = prefill_tokens
-            prefill_tokens -= drained
-            moved = drained * inv_pm
-            if moved > _EPS:
-                push([moved, progress])
-                nd += moved
-        # KV-bounded admission into residency.
-        resident = nd + prefill_tokens * inv_pm
-        free_rate = (cap_total - resident) / dt
-        if free_rate < 0.0:
-            free_rate = 0.0
-        mu_adm = lam_mid + qa / dt
-        if mu_adm > free_rate:
-            mu_adm = free_rate
-        admitted = mu_adm * dt
-        qa = qa + dt * (lam_mid - mu_adm)
-        if qa < 0.0:
-            qa = 0.0
-        prefill_tokens += admitted * pm
-
-        w = lam_mid * dt
-        if w > 0.0:
-            wait = qa * out_mean * t_iter / nd if (qa > 1e-9 and nd > _EPS) else 0.0
-            # A prompt prefills chunk-by-chunk: ceil(pm/chunk) mixed passes
-            # to first token, plus the iteration-boundary residual.
-            service = passes_per_prompt * t_mix
-            base = wait + service + 0.5 * t_iter
-            # Prompt service behind other prompts queues M/D/c-style:
-            # blocked probability from Erlang-C, wait depth exponential at
-            # *half* the M/M/c scale (chunk passes are deterministic).
-            servers = n_act if n_act > 0 else 1
-            ekey = (idx_mid, servers, int(service * 1e4))
-            cached = e_memo.get(ekey)
-            if cached is None:
-                slam = srates[idx_mid] if idx_mid < n_bins else 0.0
-                blocked = _erlang_c(servers, slam * service)
-                gap = servers / service - slam
-                scale = 0.5 / gap if gap > 1e-9 else 12.5 * service
-                cached = (blocked, scale)
-                e_memo[ekey] = cached
-            blocked, scale = cached
-            tw_app(w * (1.0 - blocked))
-            tv_app(base)
-            if blocked > 1e-6:
-                share = w * blocked * 0.25
-                for u in _EXP_ATOMS:
-                    tw_app(share)
-                    tv_app(base + u * scale)
-            aw_app(w)
-            eb_app(base + blocked * scale)
-            ta_app(t_iter)
-        if done > 0.0:
-            cw_app(done)
-            tc_app(t_iter)
-        if t_next >= span and qa + prefill_tokens + nd <= mass_floor:
-            break
-    if traj.duration == 0.0:
-        traj.duration = t_next
-    traj.busy_prefill = traj.busy_decode  # one pool: both utilizations equal
-    traj.emitted_tokens = traj.completed_mass * out_mean + sum(
-        mass * min(out_mean, progress - admitted_at) for mass, admitted_at in cohorts
-    )
-    return traj
-
-
-# --------------------------------------------------------------------------
-# public entry points (called by the simulators' backend dispatch)
-# --------------------------------------------------------------------------
-
-
-def fluid_phase_split_report(
-    pools: PhasePools,
-    config: "SimConfig",
-    trace: "Sequence[Request] | Iterable[Request]",
-    prefill_provider: AbstractServiceTimeProvider,
-    decode_provider: AbstractServiceTimeProvider,
-    bundle: PolicyBundle,
-    economics: EconomicsConfig,
-) -> Tuple["SimReport", EconomicsReport]:
-    """Fluid counterpart of :meth:`ServingSimulator.run`."""
-    trace = list(trace)
-    profile = TraceProfile.from_trace(trace)
-    kv_capacity = float(pools.decode.kv_token_capacity())
-    if profile.n_requests == 0:
-        traj = _Trajectory()
-    else:
-        context = int(round(profile.prompt_mean + profile.output_mean / 2.0))
-        pfit = fit_prefill(
-            prefill_provider, pools.max_prefill_batch,
-            max(1, int(round(profile.prompt_mean))), pools.n_prefill,
-        )
-        dfit = fit_decode(decode_provider, pools.max_decode_batch, context, pools.n_decode)
-        traj = _integrate_phase_split(
-            pools, profile, pfit, dfit, config.max_sim_time,
-            _balanced_routing(bundle), kv_capacity,
-        )
-    report = _fluid_report(profile, traj, pools.n_prefill, pools.n_decode)
-    rollups = (
-        pool_economics(
-            "prefill", pools.prefill,
-            _ledger_states(traj.busy_prefill, pools.n_prefill),
-            report.duration, economics,
-        ),
-        pool_economics(
-            "decode", pools.decode,
-            _ledger_states(traj.busy_decode, pools.n_decode),
-            report.duration, economics,
-        ),
-    )
-    return _attach_fluid_economics(report, rollups, traj.emitted_tokens)
-
-
-def fluid_colocated_report(
-    pool: ColocatedPool,
-    config: "SimConfig",
-    trace: "Sequence[Request] | Iterable[Request]",
-    provider: AbstractServiceTimeProvider,
-    bundle: PolicyBundle,
-    economics: EconomicsConfig,
-) -> Tuple["SimReport", EconomicsReport]:
-    """Fluid counterpart of :meth:`ColocatedSimulator.run`."""
-    trace = list(trace)
-    profile = TraceProfile.from_trace(trace)
-    kv_capacity = float(pool.instance.kv_token_capacity())
-    if profile.n_requests == 0:
-        traj = _Trajectory()
-    else:
-        context = int(round(profile.prompt_mean + profile.output_mean / 2.0))
-        prompt = max(1, int(round(profile.prompt_mean)))
-        mfit = fit_mixed(
-            provider, pool.max_decode_batch, context, pool.chunk_tokens,
-            prompt, pool.n_instances,
-        )
-        dfit = fit_decode(provider, pool.max_decode_batch, context, pool.n_instances)
-        traj = _integrate_colocated(
-            pool, profile, mfit, dfit, config.max_sim_time,
-            _balanced_routing(bundle), kv_capacity,
-        )
-    report = _fluid_report(profile, traj, pool.n_instances, pool.n_instances)
-    rollup = pool_economics(
-        "colocated", pool.instance,
-        _ledger_states(traj.busy_decode, pool.n_instances),
-        report.duration, economics,
-    )
-    return _attach_fluid_economics(report, (rollup,), traj.emitted_tokens)
+#: The simulators look their shape's report up by one of these names at
+#: call time, so wrapping a name (as a profiler does) catches that shape.
+fluid_phase_split_report = fluid_colocated_report = fluid_report

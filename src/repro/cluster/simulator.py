@@ -510,7 +510,8 @@ class _PoolSimulator:
     as ``(name, InstanceSpec, n_instances, holds_kv)``; construction checks,
     places, schedules failures and builds one service-time provider per
     row, and :meth:`run` hands them to the shape's engine (or fluid model)
-    and rolls the engine's pools up into the report and its economics.
+    and rolls each pool's instance states (the engine's, or the fluid
+    model's ledger rows) up into the report and its economics.
     A subclass names its engine, its fluid report, and the attribute that
     holds each pool's provider.  :meth:`run` reads the providers from those
     attributes, so a provider swapped in after construction is used.
@@ -601,36 +602,40 @@ class _PoolSimulator:
         for provider in providers:
             provider.set_frequency(1.0)
         policies = get_policy_bundle(self._policy_spec)
+        table = self._deployment.pool_table()
         if self.config.backend == "fluid":
             from . import fluid
 
-            report, self.last_economics = getattr(fluid, self._fluid_report)(
-                self._deployment, self.config, trace, *providers, policies, self.economics
+            report, states, output_tokens = getattr(fluid, self._fluid_report)(
+                self._deployment, self.config, trace, providers, policies
             )
             self.last_metrics = None
-            return report
-        engine = self._engine(
-            self._deployment,
-            self.config,
-            policies,
-            *providers,
-            self.failures,
-            # A private copy per run: controllers keep hysteresis state.
-            controller=copy.deepcopy(self.controller),
-            power_curve=self.economics.curve,
-            spawn_limits=self._spawn_limits,
-        )
-        engine.run(trace)
-        self.last_metrics = engine.metrics
-        table, states = engine.pool_table, engine.pool_states
-        # The first pool's busy time is the report's prefill utilization and
-        # the last pool's its decode utilization (the same single pool when
-        # the deployment is colocated).
-        report = _build_report(
-            engine,
-            [s.busy_time for s in states[table[0].name]],
-            [s.busy_time for s in states[table[-1].name]],
-        )
+            spawned = retired = 0
+        else:
+            engine = self._engine(
+                self._deployment,
+                self.config,
+                policies,
+                *providers,
+                self.failures,
+                # A private copy per run: controllers keep hysteresis state.
+                controller=copy.deepcopy(self.controller),
+                power_curve=self.economics.curve,
+                spawn_limits=self._spawn_limits,
+            )
+            engine.run(trace)
+            self.last_metrics = engine.metrics
+            states = engine.pool_states
+            # The first pool's busy time is the report's prefill utilization
+            # and the last pool's its decode utilization (the same single
+            # pool when the deployment is colocated).
+            report = _build_report(
+                engine,
+                [s.busy_time for s in states[table[0].name]],
+                [s.busy_time for s in states[table[-1].name]],
+            )
+            output_tokens = engine.output_token_count
+            spawned, retired = engine.spawned, engine.retired
         econ = EconomicsReport(
             pools=tuple(
                 pool_economics(
@@ -639,7 +644,7 @@ class _PoolSimulator:
                 for row in table
             ),
             duration=report.duration,
-            output_tokens=engine.output_token_count,
+            output_tokens=output_tokens,
         )
         self.last_economics = econ
         return replace(
@@ -648,8 +653,8 @@ class _PoolSimulator:
             energy_joules=econ.energy_joules,
             usd_cost=econ.usd_cost,
             usd_per_mtoken=econ.usd_per_mtoken,
-            spawned_instances=engine.spawned,
-            retired_instances=engine.retired,
+            spawned_instances=spawned,
+            retired_instances=retired,
         )
 
 

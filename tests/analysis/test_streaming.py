@@ -12,7 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.streaming import QuantileSketch, ReservoirSampler, StreamingMetrics
@@ -21,6 +21,18 @@ from repro.errors import SpecError
 
 def _rel_err(estimate: float, truth: float) -> float:
     return abs(estimate - truth) / max(abs(truth), 1e-12)
+
+
+def _exact(values: np.ndarray, q: float) -> float:
+    """The exact quantile under the sketch's own definition.
+
+    ``QuantileSketch.quantile`` interpolates between centroid midpoint
+    ranks, which on singleton centroids is the midpoint (Hazen, type-5)
+    quantile.  numpy's default linear (type-7) definition differs from it
+    by up to half the gap between adjacent order statistics, which near
+    p99 of a heavy tail alone can exceed 1%.
+    """
+    return float(np.quantile(values, q, method="hazen"))
 
 
 def _latency_like(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -36,18 +48,19 @@ class TestQuantileSketchAccuracy:
         sketch = QuantileSketch()
         sketch.extend(values)
         for q in (0.5, 0.99):
-            exact = float(np.quantile(values, q))
+            exact = _exact(values, q)
             assert _rel_err(sketch.quantile(q), exact) <= 0.01, f"q={q} seed={seed}"
 
     @given(seed=st.integers(0, 200), n=st.integers(10_000, 40_000))
     @settings(max_examples=10, deadline=None)
+    @example(seed=83, n=20225)  # p99 off the linear quantile by 1.016%
     def test_accuracy_property(self, seed, n):
         rng = np.random.default_rng(seed)
         values = _latency_like(rng, n)
         sketch = QuantileSketch()
         sketch.extend(values)
-        assert _rel_err(sketch.quantile(0.5), float(np.quantile(values, 0.5))) <= 0.01
-        assert _rel_err(sketch.quantile(0.99), float(np.quantile(values, 0.99))) <= 0.01
+        assert _rel_err(sketch.quantile(0.5), _exact(values, 0.5)) <= 0.01
+        assert _rel_err(sketch.quantile(0.99), _exact(values, 0.99)) <= 0.01
 
     def test_extremes_and_mean_are_exact(self):
         rng = np.random.default_rng(7)
@@ -97,6 +110,7 @@ class TestSketchMerge:
 
     @given(seed=st.integers(0, 100), shards=st.integers(2, 6))
     @settings(max_examples=10, deadline=None)
+    @example(seed=13, shards=2)  # singleton centroids at p99: Hazen value exactly
     def test_sharded_merge_matches_single_sketch(self, seed, shards):
         rng = np.random.default_rng(seed)
         values = _latency_like(rng, 4_000 * shards)
@@ -111,7 +125,7 @@ class TestSketchMerge:
         assert merged.count == whole.count == len(values)
         assert merged.mean == pytest.approx(whole.mean, rel=1e-9)
         for q in (0.5, 0.99):
-            exact = float(np.quantile(values, q))
+            exact = _exact(values, q)
             assert _rel_err(merged.quantile(q), exact) <= 0.01
             assert _rel_err(merged.quantile(q), whole.quantile(q)) <= 0.02
 

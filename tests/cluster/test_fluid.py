@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,12 @@ from repro.cluster.failures import FailureModel
 from repro.cluster.fluid import BatchTimeFit, TraceProfile
 from repro.cluster.resilience import ResilienceConfig
 from repro.cluster.scheduler import ColocatedPool, InstanceSpec, PhasePools
-from repro.cluster.simulator import ColocatedSimulator, ServingSimulator, SimConfig
+from repro.cluster.simulator import (
+    ColocatedSimulator,
+    ServingSimulator,
+    SimConfig,
+    simulator_for,
+)
 from repro.errors import SpecError
 from repro.exec.ensemble import aggregate_reports
 from repro.exec.sharding import run_sharded
@@ -114,6 +120,42 @@ class TestDeterminism:
         a = ColocatedSimulator(colo(), FLUID).run(t)
         b = ColocatedSimulator(colo(), FLUID).run(t)
         assert a == b
+
+
+class TestReportHook:
+    """Each simulator looks up its shape's fluid report by name at call time,
+    so wrapping that name (as perfbench's ``fluid.report`` layer does)
+    intercepts exactly that shape's runs."""
+
+    NAMES = ("fluid_phase_split_report", "fluid_colocated_report")
+
+    @pytest.mark.parametrize(
+        "shape, name",
+        [("phase-split", "fluid_phase_split_report"), ("colocated", "fluid_colocated_report")],
+    )
+    def test_each_shape_goes_through_its_own_name(self, monkeypatch, shape, name):
+        from repro.cluster import fluid
+
+        calls = dict.fromkeys(self.NAMES, 0)
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                report, *rest = fn(*args, **kwargs)
+                return (replace(report, requeued_on_failure=4242), *rest)
+
+            return wrapper
+
+        for key in self.NAMES:
+            monkeypatch.setattr(fluid, key, counting(key, getattr(fluid, key)))
+        deployment = pools(n_decode=2) if shape == "phase-split" else colo()
+        t = trace(duration=5.0)
+        patched = simulator_for(deployment)(deployment, FLUID).run(t)
+        assert calls == {key: int(key == name) for key in self.NAMES}
+        monkeypatch.undo()
+        plain = simulator_for(deployment)(deployment, FLUID).run(t)
+        assert plain.requeued_on_failure == 0
+        assert patched == replace(plain, requeued_on_failure=4242)
 
 
 class TestProvenance:
